@@ -51,20 +51,6 @@ def _usage_error(message):
     raise SystemExit(2)
 
 
-def _apply_thread_cap():
-    cap = os.environ.get("LEGLAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        pass
-
-
 def _validate(args):
     if args.grid % 2 != 0 or not 8 <= args.grid <= 512:
         _usage_error(f"--grid must be even and in [8, 512], got {args.grid}")
@@ -329,7 +315,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -45,10 +45,12 @@ def j_apply(v):
 
 
 def check_sphere(p, tol=SPHERE_INPUT_TOL, what="point"):
-    """Raise if any point deviates from the unit sphere by more than tol."""
+    """Raise if any point is non-finite or off the unit sphere by more than tol."""
     dev = np.max(np.abs(norm(np.asarray(p, dtype=float)) - 1.0))
-    if dev > tol:
-        raise ValueError(f"{what} off the unit sphere: |norm - 1| = {dev:.3e} > {tol:.1e}")
+    if not dev <= tol:  # also catches NaN, which compares False
+        raise ValueError(
+            f"{what} non-finite or off the unit sphere: |norm - 1| = {dev:.3e} > {tol:.1e}"
+        )
 
 
 def contact_form(p, v, check=True):

@@ -110,8 +110,10 @@ def adapted_frame(jet: Jet2, legendrian_tol=LEGENDRIAN_FRAME_TOL) -> AdaptedFram
     g12 = dot(xu, xv)
     g22 = dot(xv, xv)
     gram = g11 * g22 - g12**2
-    if np.min(gram) < GRAM_DET_TOL:
-        raise ValueError(f"degenerate induced metric: Gram determinant {np.min(gram):.3e}")
+    if not np.min(gram) >= GRAM_DET_TOL:
+        raise ValueError(
+            f"degenerate or non-finite induced metric: Gram determinant {np.min(gram):.3e}"
+        )
 
     n1 = np.sqrt(g11)
     e1 = xu / n1[..., None]
@@ -168,8 +170,8 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     g[..., 0, 1] = g[..., 1, 0] = dot(jet.du, jet.dv)
     g[..., 1, 1] = dot(jet.dv, jet.dv)
     det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    if np.min(det) < GRAM_DET_TOL:
-        raise ValueError(f"degenerate induced metric: det g = {np.min(det):.3e}")
+    if not np.min(det) >= GRAM_DET_TOL:
+        raise ValueError(f"degenerate or non-finite induced metric: det g = {np.min(det):.3e}")
     ginv = np.empty_like(g)
     ginv[..., 0, 0] = g[..., 1, 1] / det
     ginv[..., 1, 1] = g[..., 0, 0] / det

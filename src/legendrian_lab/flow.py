@@ -114,7 +114,15 @@ def descent_potential(raw, gamma=DEFAULT_SMOOTHING):
 
 @dataclass
 class FlowState:
+    """Flow iterate with the geometry and raw div JH of its current surface.
+
+    geo and div_JH are built once per accepted surface, for its
+    diagnostics, and read again by the next flow_step and the final report.
+    """
+
     surface: GridSurface
+    geo: grid_ops.DerivedGeometry
+    div_JH: np.ndarray
     step_index: int = 0
     tau: float = DEFAULT_TAU0
     tau0: float = DEFAULT_TAU0
@@ -143,32 +151,30 @@ def start_flow(surface: GridSurface, tau0=DEFAULT_TAU0, smoothing=DEFAULT_SMOOTH
                step_cap=DEFAULT_STEP_CAP) -> FlowState:
     geo = grid_ops.derived_geometry(surface)
     geo.check_legendrian(tol=1e-6, what="flow start")
-    state = FlowState(surface=surface, tau=tau0, tau0=tau0, smoothing=smoothing,
-                      step_cap=step_cap)
-    _, div_l2, leg, el = _diagnostics(geo)
+    div, div_l2, leg, el = _diagnostics(geo)
+    state = FlowState(surface=surface, geo=geo, div_JH=div, tau=tau0, tau0=tau0,
+                      smoothing=smoothing, step_cap=step_cap)
     state.area_history.append(grid_ops.surface_area(geo))
     state.residual_history.append((div_l2, leg, el))
     return state
 
 
-def flow_step(state: FlowState, geo: grid_ops.DerivedGeometry | None = None) -> FlowState:
+def flow_step(state: FlowState) -> FlowState:
     """One accepted descent step with halving line search on the area.
 
     Rejected trials never enter the histories; tau regrows by 1.5x
     (capped at tau0) after acceptance so one stiff rejection does not pin
-    the flow at a tiny step forever.
+    the flow at a tiny step forever.  A stalled step leaves the surface,
+    its geometry and the histories untouched.
     """
-    if geo is None:
-        geo = grid_ops.derived_geometry(state.surface)
-    leg = float(np.max(geo.data.legendrian_residual))
+    leg = float(np.max(state.geo.data.legendrian_residual))
     if leg > FLOW_LEGENDRIAN_ABORT:
         raise ValueError(
             f"Legendrian residual {leg:.3e} exceeded abort threshold "
             f"{FLOW_LEGENDRIAN_ABORT:.1e} at step {state.step_index}"
         )
-    raw, _ = grid_ops.div_JH(geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT)
-    f = descent_potential(raw, state.smoothing)
-    p = geo.jet.value
+    f = descent_potential(state.div_JH, state.smoothing)
+    p = state.surface.positions
     scheme = state.surface.scheme
     v1 = variation_field_on_positions(p, f, scheme)
     vmax = float(np.max(contact.norm(v1)))
@@ -194,9 +200,9 @@ def flow_step(state: FlowState, geo: grid_ops.DerivedGeometry | None = None) -> 
     state.surface = state.surface.with_positions(accepted)
     state.step_index += 1
     state.tau = min(tau * 1.5, state.tau0)
-    new_geo = grid_ops.derived_geometry(state.surface)
-    _, div_l2, leg, el = _diagnostics(new_geo)
-    state.area_history.append(grid_ops.surface_area(new_geo))
+    state.geo = grid_ops.derived_geometry(state.surface)
+    state.div_JH, div_l2, leg, el = _diagnostics(state.geo)
+    state.area_history.append(grid_ops.surface_area(state.geo))
     state.residual_history.append((div_l2, leg, el))
     state.tau_history.append(tau)
     return state
@@ -252,8 +258,7 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=5000, tol=1e-4,
         if state.residual_history[-1][0] <= target:
             converged = True
 
-    geo = grid_ops.derived_geometry(state.surface)
-    integrals = grid_ops.integral_report(geo)
+    integrals = grid_ops.integral_report(state.geo)
     rep = Report()
     rep.set("steps", state.step_index)
     rep.set("converged", bool(converged))
@@ -265,7 +270,7 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=5000, tol=1e-4,
     rep.set("final_div_JH_l2", state.residual_history[-1][0])
     rep.set("final_el_residual_sup", state.residual_history[-1][2])
     rep.set("max_legendrian_residual", max(r[1] for r in state.residual_history))
-    rep.set("final_S_max_dev", float(np.max(np.abs(geo.data.S - 2.0))))
+    rep.set("final_S_max_dev", float(np.max(np.abs(state.geo.data.S - 2.0))))
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
         rep.set("final_" + key, integrals.get(key))
     return FlowResult(state=state, converged=converged, report=rep, error=error)

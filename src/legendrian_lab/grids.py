@@ -72,11 +72,6 @@ def deriv(f, axis, scheme, order=1):
     raise ValueError(f"unsupported derivative order {order}")
 
 
-def deriv_mixed(f, scheme):
-    """d^2 f / du dv as composition of first derivatives (order-preserving)."""
-    return deriv(deriv(f, 0, scheme), 1, scheme)
-
-
 def grid_nodes(n):
     """Node coordinates (U, V), each (n, n), u-major."""
     t = LENGTH * np.arange(n) / n
@@ -85,14 +80,6 @@ def grid_nodes(n):
 
 def cell_area(n):
     return (LENGTH / n) ** 2
-
-
-def trapezoid(f, n=None):
-    """Periodic trapezoid rule = uniform weight sum (spectrally accurate)."""
-    f = np.asarray(f, dtype=float)
-    if n is None:
-        n = f.shape[0]
-    return float(np.sum(f) * cell_area(n))
 
 
 def fit_convergence_order(ns, residuals):

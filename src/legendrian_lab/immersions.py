@@ -272,12 +272,13 @@ class GridSurface:
     def jets(self) -> Jet2:
         p = self.positions
         s = self.scheme
+        du = grids.deriv(p, 0, s)
         return Jet2(
             value=p,
-            du=grids.deriv(p, 0, s),
+            du=du,
             dv=grids.deriv(p, 1, s),
             duu=grids.deriv(p, 0, s, order=2),
-            duv=grids.deriv_mixed(p, s),
+            duv=grids.deriv(du, 1, s),  # composed first derivatives keep the order
             dvv=grids.deriv(p, 1, s, order=2),
         )
 

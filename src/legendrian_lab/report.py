@@ -35,11 +35,6 @@ class Report:
             self._items[key] = float(value)
         return self
 
-    def update(self, mapping, prefix=""):
-        for k, v in mapping.items():
-            self.set(prefix + k, v)
-        return self
-
     def get(self, key, default=None):
         return self._items.get(key, default)
 

@@ -150,3 +150,15 @@ def test_degenerate_jets_rejected():
     bad = immersions.Jet2(jet.value, jet.du, jet.du, jet.duu, jet.duv, jet.dvv)
     with pytest.raises(ValueError):
         extrinsic.adapted_frame(bad)
+
+
+def test_non_finite_jets_rejected_by_metric_guards():
+    jet = immersions.eval_jet2(immersions.catalog("legendrian_torus"), 0.1, 0.2)
+    frame = extrinsic.adapted_frame(jet)
+    du = jet.du.copy()
+    du[0] = np.nan
+    bad = immersions.Jet2(jet.value, du, jet.dv, jet.duu, jet.duv, jet.dvv)
+    with pytest.raises(ValueError, match="non-finite"):
+        extrinsic.adapted_frame(bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        extrinsic.extrinsic_data(bad, frame)

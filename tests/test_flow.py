@@ -121,6 +121,40 @@ def test_flow_step_strict_descent_and_rejection_bookkeeping():
     assert len(state.tau_history) == state.step_index
 
 
+def test_run_flow_builds_one_geometry_per_accepted_surface(monkeypatch):
+    calls = []
+    build = grid_ops.derived_geometry
+
+    def counted(surface):
+        calls.append(surface)
+        return build(surface)
+
+    monkeypatch.setattr(flow.grid_ops, "derived_geometry", counted)
+    result = flow.run_flow(_stable_start(n=16), max_steps=5000, tol=1e-4)
+    state, rep = result.state, result.report
+    assert result.converged and rep["steps"] > 0
+    assert len(calls) == rep["steps"] + 1
+    assert state.geo.surface is state.surface
+    # the cached geometry is the geometry of the final surface, not a stale one
+    fresh = build(state.surface)
+    integrals = grid_ops.integral_report(fresh)
+    for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
+        assert rep["final_" + key] == integrals.get(key)
+    assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
+    raw, _ = grid_ops.div_JH(fresh, legendrian_tol=flow.FLOW_LEGENDRIAN_ABORT)
+    assert np.array_equal(state.div_JH, raw)
+
+
+def test_stalled_flow_step_keeps_cached_geometry():
+    state = flow.start_flow(_stable_start(n=16))
+    surface, geo, div = state.surface, state.geo, state.div_JH
+    state.tau = 0.0  # every trial step is below the underflow floor
+    flow.flow_step(state)
+    assert state.stalled
+    assert state.surface is surface and state.geo is geo and state.div_JH is div
+    assert state.step_index == 0 and len(state.area_history) == 1
+
+
 def test_flow_stationary_input_terminates_immediately(geometry_cache):
     g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "spectral")
     result = flow.run_flow(g, max_steps=10)

@@ -193,6 +193,27 @@ def test_grid_load_rejects_bad_header(tmp_path):
         immersions.load_grid(path)
 
 
+def test_grid_surface_rejects_nan_positions():
+    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "fd4")
+    pos = g.positions.copy()
+    pos[3, 5, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        immersions.GridSurface(positions=pos, scheme="fd4")
+
+
+def test_grid_load_rejects_nan(tmp_path):
+    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "fd4")
+    path = tmp_path / "grid.txt"
+    immersions.save_grid(g, path)
+    lines = path.read_text().splitlines()
+    row = lines[7].split()
+    row[2] = "nan"
+    lines[7] = " ".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        immersions.load_grid(path)
+
+
 # ---------------------------------------------------------------------------
 # perturbations
 
