@@ -58,6 +58,9 @@ def _validate(args):
         _usage_error(f"--scheme must be one of {grids.SCHEMES}")
     if args.surface not in SURFACES:
         _usage_error(f"--surface must be one of {SURFACES}")
+    for name in ("tol", "tau0", "epsilon", "theta"):
+        if not np.isfinite(getattr(args, name, 0.0)):
+            _usage_error(f"--{name} must be finite, got {getattr(args, name)}")
     for name in ("tol", "tau0"):
         if getattr(args, name, 1.0) <= 0:
             _usage_error(f"--{name.replace('_', '-')} must be positive")

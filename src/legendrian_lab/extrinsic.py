@@ -73,18 +73,21 @@ def legendrian_residual(jet: Jet2):
 def _generic_normals(p, e1, e2):
     """Deterministic orthonormal normal frame from coordinate-axis seeds."""
     batch = p.shape[:-1]
-    used = [p, e1, e2]
+    seeds = []
+    for axis in range(6):
+        w = np.zeros(p.shape)
+        w[..., axis] = 1.0
+        for b in (p, e1, e2):
+            w = w - dot(w, b)[..., None] * b
+        seeds.append(w)  # projected off p, E1, E2 once, then off each new normal
     normals = []
     taken = np.zeros(batch + (6,), dtype=bool)  # which seed axis each point consumed
     for _ in range(3):
+        if normals:
+            seeds = [w - dot(w, normals[-1])[..., None] * normals[-1] for w in seeds]
         cand = np.zeros(p.shape)
         have = np.zeros(batch, dtype=bool)
-        for axis in range(6):
-            seed = np.zeros(6)
-            seed[axis] = 1.0
-            w = np.broadcast_to(seed, p.shape).copy()
-            for b in used + normals:
-                w = w - dot(w, b)[..., None] * b
+        for axis, w in enumerate(seeds):
             ok = (~have) & (~taken[..., axis]) & (norm(w) >= _SEED_NORM_TOL)
             cand = np.where(ok[..., None], w, cand)
             taken[..., axis] |= ok
@@ -177,19 +180,23 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     ginv[..., 1, 1] = g[..., 0, 0] / det
     ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
 
-    second = [[jet.duu, jet.duv], [jet.duv, jet.dvv]]
-    B = np.zeros(p.shape[:-1] + (2, 2, 6))
-    for i in range(2):
-        for j in range(2):
-            b = second[i][j] + g[..., i, j, None] * p
-            for e in frame.tangents():
-                b = b - dot(b, e)[..., None] * e
-            b = b - dot(b, p)[..., None] * p  # guard residual radial part of FD jets
-            B[..., i, j, :] = b
+    B = np.empty(p.shape[:-1] + (2, 2, 6))
+    for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv)):
+        b = d2 + g[..., i, j, None] * p
+        for e in frame.tangents():
+            b = b - dot(b, e)[..., None] * e
+        B[..., i, j, :] = b - dot(b, p)[..., None] * p  # guard residual radial part of FD jets
+    B[..., 1, 0, :] = B[..., 0, 1, :]
 
-    # flat indices: Bhat_ab = coeff_a^i coeff_b^j B_ij
-    Bhat = np.einsum("...ai,...bj,...ijk->...abk", frame.coeff, frame.coeff, B)
-    h = np.stack([dot(Bhat, n[..., None, None, :]) for n in frame.normals()], axis=-3)
+    # flat indices: Bhat_ab = sum_ij (c_ai c_bj) B_ij, summed in (i, j) order
+    c = frame.coeff
+    h = np.empty(p.shape[:-1] + (3, 2, 2))
+    for a in range(2):
+        for b in range(2):
+            bhat = sum((c[..., a, i] * c[..., b, j])[..., None] * B[..., i, j, :]
+                       for i in range(2) for j in range(2))
+            for k, n in enumerate(frame.normals()):
+                h[..., k, a, b] = dot(bhat, n)
 
     Hcomp = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
     Hvec = sum(Hcomp[..., b, None] * n for b, n in enumerate(frame.normals()))

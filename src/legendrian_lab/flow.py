@@ -24,6 +24,7 @@ stationarity metric ||div JH||_2 is always evaluated on the raw field:
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
                   re-projection (the projection changes area only at
                   O(eps^2), symmetric in +-eps).
     """
-    if eps > 1e-2 or eps <= 0:
+    if not 0 < eps <= 1e-2:
         raise ValueError("finite-difference step eps must lie in (0, 1e-2]")
     geo.check_legendrian(what="first_variation_check")
     f = np.asarray(f, dtype=float)
@@ -92,14 +93,20 @@ def torus_jacobi_multiplier(n, gamma):
 
     lambda(m, n) = 2(m^2 - mn + n^2) is the (negative of the) flat-torus
     Laplacian spectrum; Q = lambda(lambda-6)/4 the area Hessian on
-    Legendrian potentials.
+    Legendrian potentials.  The array is cached and read-only.
     """
+    return _jacobi_multiplier(n, gamma)
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobi_multiplier(n, gamma):
     k = np.fft.fftfreq(n, d=1.0 / n)
     km, kn = np.meshgrid(k, k, indexing="ij")
     lam = 2.0 * (km**2 - km * kn + kn**2)
     q = lam * (lam - 6.0) / 4.0
     mult = 1.0 / (1.0 + gamma * np.maximum(q, 0.0))
     mult[(lam > 0.0) & (lam < 6.0)] = 0.0
+    mult.setflags(write=False)
     return mult
 
 
@@ -168,7 +175,7 @@ def flow_step(state: FlowState) -> FlowState:
     its geometry and the histories untouched.
     """
     leg = float(np.max(state.geo.data.legendrian_residual))
-    if leg > FLOW_LEGENDRIAN_ABORT:
+    if not leg <= FLOW_LEGENDRIAN_ABORT:
         raise ValueError(
             f"Legendrian residual {leg:.3e} exceeded abort threshold "
             f"{FLOW_LEGENDRIAN_ABORT:.1e} at step {state.step_index}"
@@ -239,7 +246,7 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=5000, tol=1e-4,
     Euler-Lagrange residual, the comparison integrals I1/I2 and the
     integral-identity residual E.
     """
-    if tol <= 0 or tau0 <= 0:
+    if not (tol > 0 and tau0 > 0):
         raise ValueError("tol and tau0 must be positive")
     state = start_flow(surface, tau0=tau0, smoothing=smoothing, step_cap=step_cap)
     initial_div = state.residual_history[0][0]

@@ -79,7 +79,7 @@ class DerivedGeometry:
 
     def check_legendrian(self, tol=LEGENDRIAN_OP_TOL, what="operation"):
         res = float(np.max(self.data.legendrian_residual))
-        if res > tol:
+        if not res <= tol:
             raise ValueError(
                 f"{what} requires a Legendrian grid surface: residual {res:.3e} > {tol:.1e}"
             )
@@ -97,7 +97,9 @@ def derived_geometry(surface: GridSurface) -> DerivedGeometry:
     dg = np.stack([grids.deriv(data.g, 0, s), grids.deriv(data.g, 1, s)], axis=-3)
     # gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     t = dg + dg.transpose(0, 1, 3, 2, 4) - dg.transpose(0, 1, 3, 4, 2)
-    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", data.ginv, t)
+    ginv = data.ginv[..., None, None]  # summed over l in order, as 2x2 products
+    gamma = 0.5 * (ginv[..., 0, :, :] * t[..., None, :, :, 0]
+                   + ginv[..., 1, :, :] * t[..., None, :, :, 1])
     return DerivedGeometry(surface=surface, jet=jet, frame=frame, data=data, gamma=gamma)
 
 
@@ -167,7 +169,7 @@ def intrinsic_gauss_curvature(geo: DerivedGeometry):
 def check_normal_field(v, geo: DerivedGeometry, tol=NORMAL_FIELD_TOL, what="field"):
     dev = float(np.max(contact.norm(v - geo.project_normal(v))))
     scale = max(1.0, float(np.max(contact.norm(v))))
-    if dev > tol * scale:
+    if not dev <= tol * scale:
         raise ValueError(f"{what} is not a normal field: deviation {dev:.3e}")
 
 
@@ -218,7 +220,7 @@ def div_JH(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
         contra[..., 0, None] * geo.jet.du + contra[..., 1, None] * geo.jet.dv
     )
     err = float(np.max(contact.norm(w - tangential)))
-    if err > JH_TANGENCY_ABORT:
+    if not err <= JH_TANGENCY_ABORT:
         raise ValueError(f"JH tangency error {err:.3e} exceeds {JH_TANGENCY_ABORT:.1e}")
     return divergence(contra, geo), err
 
@@ -344,7 +346,8 @@ def omega_commutation_residual(v, geo: DerivedGeometry):
     v = np.asarray(v, dtype=float)
     check_normal_field(v, geo, what="omega_commutation input")
     alpha_v = contact.contact_form(geo.jet.value, v, check=False)
-    if float(np.max(np.abs(alpha_v))) > KER_ALPHA_TOL * max(1.0, float(np.max(contact.norm(v)))):
+    scale = max(1.0, float(np.max(contact.norm(v))))
+    if not float(np.max(np.abs(alpha_v))) <= KER_ALPHA_TOL * scale:
         raise ValueError("omega_commutation input must lie in ker(alpha)")
     theta = omega_contraction(v, geo)
     lhs = oneform_rough_laplacian(theta, geo)

@@ -14,6 +14,8 @@ to zero to rounding.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 SCHEMES = ("fd2", "fd4", "spectral")
@@ -30,16 +32,22 @@ def _shift(f, s, axis):
     return np.roll(f, -s, axis=axis)
 
 
-def _spectral_deriv(f, axis, order):
-    n = f.shape[axis]
+@functools.lru_cache(maxsize=32)
+def _fourier_multiplier(n, order):
+    """(ik)^order on the FFT frequencies of n points, read-only (cached)."""
     k = np.fft.fftfreq(n, d=1.0 / n)
     if order % 2 == 1:
-        k = k.copy()
         k[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
     mult = (1j * k) ** order
+    mult.setflags(write=False)
+    return mult
+
+
+def _spectral_deriv(f, axis, order):
     shape = [1] * f.ndim
-    shape[axis] = n
-    return np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis).real
+    shape[axis] = f.shape[axis]
+    mult = _fourier_multiplier(f.shape[axis], order).reshape(shape)
+    return np.fft.ifft(np.fft.fft(f, axis=axis) * mult, axis=axis).real
 
 
 def deriv(f, axis, scheme, order=1):

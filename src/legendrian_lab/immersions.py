@@ -49,8 +49,8 @@ class Jet2:
         contact.check_sphere(self.value, tol, what="jet value")
         tu = np.max(np.abs(contact.dot(self.du, self.value)))
         tv = np.max(np.abs(contact.dot(self.dv, self.value)))
-        if max(tu, tv) > 1e-8:
-            raise ValueError(f"jet first derivatives not sphere-tangent: {max(tu, tv):.3e}")
+        if not np.maximum(tu, tv) <= 1e-8:  # np.maximum keeps a NaN, max() may drop it
+            raise ValueError(f"jet first derivatives not sphere-tangent: {np.maximum(tu, tv):.3e}")
         return self
 
 

@@ -141,3 +141,27 @@ def test_flow_csv_byte_identical_across_runs(tmp_path):
     assert run_cli(args + ["--out", str(out2)]) == 0
     for name in ("report.json", "report.txt", "flow.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--grid", "6"], "--grid must be even"),
+    (["verify", "--grid", "514"], "--grid must be even"),
+    (["integrals", "--tol", "0"], "--tol must be positive"),
+    (["flow", "--tau0", "-1"], "--tau0 must be positive"),
+    (["verify", "--epsilon", "-1"], "--epsilon must be nonnegative"),
+    (["integrals", "--epsilon", "0.02", "--surface", "clifford-s3"],
+     "--epsilon applies to the legendrian-torus family only"),
+    (["flow", "--max-steps", "0"], "--max-steps must be at least 1"),
+    (["flow", "--surface", "clifford-s3"], "flow runs on the legendrian-torus family only"),
+    (["flow", "--grid", "16", "--tol", "nan"], "--tol must be finite"),
+    (["flow", "--grid", "16", "--epsilon", "nan"], "--epsilon must be finite"),
+    (["flow", "--grid", "16", "--tau0", "nan", "--epsilon", "0.02"], "--tau0 must be finite"),
+    (["verify", "--grid", "16", "--theta", "nan"], "--theta must be finite"),
+    (["integrals", "--epsilon", "inf"], "--epsilon must be finite"),
+])
+def test_usage_errors_exit_2_without_reports(argv, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

@@ -1,0 +1,162 @@
+"""The closed-form geometry kernels against the einsum formulas they replace.
+
+The spectral flows sit at the roundoff floor, so the explicit 2x2 sums
+in extrinsic_data, derived_geometry and _generic_normals must give the
+same bits as the general contractions, not merely close values.
+"""
+
+import numpy as np
+import pytest
+
+from legendrian_lab import contact, extrinsic, flow, grid_ops, grids, immersions
+from legendrian_lab.contact import dot, norm
+
+
+def _reference_extrinsic(jet, frame):
+    """B, h, Hvec, S and H2 through the three-operand einsum."""
+    p = jet.value
+    g = np.zeros(p.shape[:-1] + (2, 2))
+    g[..., 0, 0] = dot(jet.du, jet.du)
+    g[..., 0, 1] = g[..., 1, 0] = dot(jet.du, jet.dv)
+    g[..., 1, 1] = dot(jet.dv, jet.dv)
+    second = [[jet.duu, jet.duv], [jet.duv, jet.dvv]]
+    B = np.zeros(p.shape[:-1] + (2, 2, 6))
+    for i in range(2):
+        for j in range(2):
+            b = second[i][j] + g[..., i, j, None] * p
+            for e in frame.tangents():
+                b = b - dot(b, e)[..., None] * e
+            b = b - dot(b, p)[..., None] * p
+            B[..., i, j, :] = b
+    Bhat = np.einsum("...ai,...bj,...ijk->...abk", frame.coeff, frame.coeff, B)
+    h = np.stack([dot(Bhat, n[..., None, None, :]) for n in frame.normals()], axis=-3)
+    Hcomp = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
+    Hvec = sum(Hcomp[..., b, None] * n for b, n in enumerate(frame.normals()))
+    H2 = np.einsum("...b,...b->...", Hcomp, Hcomp)
+    S = np.einsum("...bij,...bij->...", h, h)
+    return {"B": B, "h": h, "Hvec": Hvec, "S": S, "H2": H2}
+
+
+def _reference_gamma(geo):
+    s = geo.scheme
+    dg = np.stack([grids.deriv(geo.data.g, 0, s), grids.deriv(geo.data.g, 1, s)], axis=-3)
+    t = dg + dg.transpose(0, 1, 3, 2, 4) - dg.transpose(0, 1, 3, 4, 2)
+    return 0.5 * np.einsum("...kl,...ijl->...kij", geo.data.ginv, t)
+
+
+def _reference_generic_normals(p, e1, e2):
+    """Every round re-projects every axis seed off p, E1, E2 and the normals so far."""
+    batch = p.shape[:-1]
+    used = [p, e1, e2]
+    normals = []
+    taken = np.zeros(batch + (6,), dtype=bool)
+    for _ in range(3):
+        cand = np.zeros(p.shape)
+        have = np.zeros(batch, dtype=bool)
+        for axis in range(6):
+            seed = np.zeros(6)
+            seed[axis] = 1.0
+            w = np.broadcast_to(seed, p.shape).copy()
+            for b in used + normals:
+                w = w - dot(w, b)[..., None] * b
+            ok = (~have) & (~taken[..., axis]) & (norm(w) >= extrinsic._SEED_NORM_TOL)
+            cand = np.where(ok[..., None], w, cand)
+            taken[..., axis] |= ok
+            have |= ok
+        assert np.all(have)
+        normals.append(contact.normalize(cand))
+    return normals
+
+
+def _assert_extrinsic_identical(jet, frame):
+    data = extrinsic.extrinsic_data(jet, frame)
+    for key, expected in _reference_extrinsic(jet, frame).items():
+        assert np.array_equal(getattr(data, key), expected), key
+
+
+def _rotated_frame(frame, rng):
+    """The frame turned by a random angle per point: coeff is no longer triangular."""
+    ang = rng.uniform(0, 2 * np.pi, frame.coeff.shape[:-2])
+    c, s = np.cos(ang)[..., None], np.sin(ang)[..., None]
+    rot = np.stack([np.stack([np.cos(ang), np.sin(ang)], -1),
+                    np.stack([-np.sin(ang), np.cos(ang)], -1)], -2)
+    return extrinsic.AdaptedFrame(
+        E1=c * frame.E1 + s * frame.E2, E2=-s * frame.E1 + c * frame.E2,
+        N1=frame.N1, N2=frame.N2, N3=frame.N3,
+        coeff=np.einsum("...ab,...bc->...ac", rot, frame.coeff),
+        legendrian=frame.legendrian,
+    )
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_extrinsic_and_gamma_match_einsum_on_perturbed_torus(scheme, geometry_cache):
+    geo = geometry_cache("torus", 32, scheme, eps=0.02)
+    _assert_extrinsic_identical(geo.jet, geo.frame)
+    assert np.array_equal(geo.gamma, _reference_gamma(geo))
+
+
+def test_extrinsic_matches_einsum_for_rotated_coeff():
+    surf = immersions.catalog("veronese_s4")
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0, 2 * np.pi, 100)
+    v = rng.uniform(0.4, np.pi - 0.4, 100)
+    jet = immersions.eval_jet2(surf, u, v)
+    rotated = _rotated_frame(extrinsic.adapted_frame(jet), rng)
+    assert np.any(rotated.coeff[..., 0, 1] != 0.0)
+    _assert_extrinsic_identical(jet, rotated)
+
+
+def test_extrinsic_and_gamma_match_einsum_on_clifford(geometry_cache):
+    geo = geometry_cache("clifford", 32, "spectral")
+    assert not geo.frame.legendrian
+    _assert_extrinsic_identical(geo.jet, geo.frame)
+    assert np.array_equal(geo.gamma, _reference_gamma(geo))
+    rotated = _rotated_frame(geo.frame, np.random.default_rng(5))
+    _assert_extrinsic_identical(geo.jet, rotated)
+
+
+def _assert_generic_normals_identical(geo):
+    p, e1, e2 = geo.jet.value, geo.frame.E1, geo.frame.E2
+    got = extrinsic._generic_normals(p, e1, e2)
+    for a, b in zip(got, _reference_generic_normals(p, e1, e2)):
+        assert np.array_equal(a, b)
+
+
+def test_generic_normals_match_per_round_projection_on_clifford(geometry_cache):
+    _assert_generic_normals_identical(geometry_cache("clifford", 32, "spectral"))
+
+
+def test_generic_normals_match_per_round_projection_on_flowed_grid():
+    start = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=0,
+                                       mode="stable")
+    state = flow.start_flow(start)
+    flow.flow_step(state)
+    flow.flow_step(state)
+    assert state.step_index == 2
+    assert not state.geo.frame.legendrian
+    _assert_generic_normals_identical(state.geo)
+    _assert_extrinsic_identical(state.geo.jet, state.geo.frame)
+
+
+def test_cached_fourier_multipliers_are_read_only():
+    mult = flow.torus_jacobi_multiplier(16, 0.02)
+    assert mult is flow.torus_jacobi_multiplier(16, 0.02)
+    with pytest.raises(ValueError):
+        mult[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        grids._fourier_multiplier(16, 1)[0] = 1.0
+
+
+def test_spectral_deriv_unchanged_by_multiplier_cache():
+    rng = np.random.default_rng(1)
+    f = rng.standard_normal((16, 16, 6))
+    for axis in (0, 1):
+        for order in (1, 2):
+            k = np.fft.fftfreq(16, d=1.0 / 16)
+            if order == 1:
+                k[8] = 0.0
+            shape = [1, 1, 1]
+            shape[axis] = 16
+            expected = np.fft.ifft(np.fft.fft(f, axis=axis) * ((1j * k) ** order).reshape(shape),
+                                   axis=axis).real
+            assert np.array_equal(grids.deriv(f, axis, "spectral", order), expected)

@@ -1,0 +1,87 @@
+"""Every tolerance guard refuses NaN instead of letting it through.
+
+A guard written `x > tol` passes NaN, because every comparison with NaN
+is False; the guards are written `not x <= tol`.  Each test feeds one
+guard a NaN and expects its ValueError.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from legendrian_lab import flow, grid_ops, immersions
+
+
+def _with_data(geo, **fields):
+    return dataclasses.replace(geo, data=dataclasses.replace(geo.data, **fields))
+
+
+def _with_one_nan(field):
+    out = np.array(field, dtype=float)
+    out.reshape(-1)[7] = np.nan
+    return out
+
+
+def test_check_legendrian_rejects_nan(geometry_cache):
+    geo = geometry_cache("torus", 16, "spectral")
+    bad = _with_data(geo, legendrian_residual=_with_one_nan(geo.data.legendrian_residual))
+    with pytest.raises(ValueError, match="requires a Legendrian"):
+        bad.check_legendrian()
+
+
+def test_check_normal_field_rejects_nan(geometry_cache):
+    geo = geometry_cache("torus", 16, "spectral")
+    v = _with_one_nan(geo.frame.N1)
+    with pytest.raises(ValueError, match="not a normal field"):
+        grid_ops.check_normal_field(v, geo)
+
+
+def test_div_jh_tangency_abort_rejects_nan(geometry_cache):
+    geo = geometry_cache("torus", 16, "spectral")
+    bad = _with_data(geo, Hvec=_with_one_nan(geo.data.Hvec))
+    with pytest.raises(ValueError, match="JH tangency error"):
+        grid_ops.div_JH(bad)
+
+
+def test_omega_commutation_ker_alpha_check_rejects_nan(geometry_cache, monkeypatch):
+    geo = geometry_cache("torus", 16, "spectral")
+    # the normal-field check runs first and would catch the NaN itself
+    monkeypatch.setattr(grid_ops, "check_normal_field", lambda *args, **kwargs: None)
+    v = _with_one_nan(geo.frame.N1)
+    with pytest.raises(ValueError, match="ker\\(alpha\\)"):
+        grid_ops.omega_commutation_residual(v, geo)
+
+
+def test_flow_step_legendrian_abort_rejects_nan():
+    start = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=0,
+                                       mode="stable")
+    state = flow.start_flow(start)
+    state.geo = _with_data(state.geo, legendrian_residual=_with_one_nan(
+        state.geo.data.legendrian_residual))
+    with pytest.raises(ValueError, match="exceeded abort threshold"):
+        flow.flow_step(state)
+    assert state.step_index == 0
+
+
+@pytest.mark.parametrize("which", ["du", "dv"])
+def test_jet_validate_tangency_rejects_nan(which):
+    jet = immersions.eval_jet2(immersions.catalog("legendrian_torus"),
+                               np.array([0.1, 0.5]), np.array([0.2, 0.7]))
+    jet.validate()
+    bad = dataclasses.replace(jet, **{which: _with_one_nan(getattr(jet, which))})
+    with pytest.raises(ValueError, match="not sphere-tangent"):
+        bad.validate()
+
+
+def test_first_variation_check_rejects_nan_eps(geometry_cache):
+    geo = geometry_cache("torus", 16, "spectral")
+    with pytest.raises(ValueError, match="eps must lie"):
+        flow.first_variation_check(geo, np.ones((16, 16)), eps=np.nan)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": np.nan}, {"tau0": np.nan}])
+def test_run_flow_rejects_nan_tol_and_tau0(kwargs, geometry_cache):
+    surface = geometry_cache("torus", 16, "spectral").surface
+    with pytest.raises(ValueError, match="must be positive"):
+        flow.run_flow(surface, **kwargs)

@@ -1,0 +1,129 @@
+"""Compare the `leglab` outputs of two source trees byte for byte.
+
+Runs every op of the benchmark workloads (perfbench/workloads.py, read
+only) plus a few extra ops against the library of each tree, one child
+interpreter at a time with OMP/OPENBLAS/MKL threads set to 1, and
+compares the exit code and report.json, report.txt and flow.csv of each
+op.  Exits 0 when every op agrees, 1 naming each op that differs, 2 on
+a usage error.
+
+    git worktree add ../leglab-parent HEAD~1
+    python3 tools/compare_outputs.py ../leglab-parent . --seeds 0 1 2
+
+Standard library only; the library itself is imported from
+<tree>/src inside each child, never from this interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import importlib.util
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+OUTPUTS = ("report.json", "report.txt", "flow.csv")
+# ops outside the workloads: the fd2 flow, and generic (non-Legendrian)
+# frames on the integrals and non-torus verify paths
+EXTRA_OPS = (
+    ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
+    ("integrals", ("--surface", "clifford-s3", "--grid", "32")),
+    ("verify", ("--surface", "veronese-s4", "--grid", "32")),
+)
+CHILD = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import legendrian_lab
+if Path(legendrian_lab.__file__).resolve().parents[1] != Path(sys.argv[1]).resolve():
+    print(f"legendrian_lab imported from {legendrian_lab.__file__}", file=sys.stderr)
+    sys.exit(3)
+from legendrian_lab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", HERE / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def distinct_ops(workloads):
+    ops = []
+    for entries in workloads.WORKLOADS.values():
+        for kind, args, _ in entries:
+            if (kind, args) not in ops:
+                ops.append((kind, args))
+    return ops + [op for op in EXTRA_OPS if op not in ops]
+
+
+def child_env():
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    return env
+
+
+def run_op(src, argv):
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(src), *argv],
+                          env=child_env(), capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stderr)
+    return proc.returncode
+
+
+def differences(code_a, dir_a, code_b, dir_b):
+    diffs = [] if code_a == code_b else [f"exit {code_a} != {code_b}"]
+    for name in OUTPUTS:
+        a, b = dir_a / name, dir_b / name
+        if a.exists() != b.exists():
+            diffs.append(f"{name} only in {'first' if a.exists() else 'second'} tree")
+        elif a.exists() and not filecmp.cmp(a, b, shallow=False):
+            diffs.append(f"{name} differs")
+    return diffs
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("first", type=Path, help="root of the first source tree")
+    parser.add_argument("second", type=Path, help="root of the second source tree")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0])
+    args = parser.parse_args(argv)
+    srcs = [tree.resolve() / "src" for tree in (args.first, args.second)]
+    for src in srcs:
+        if not (src / "legendrian_lab" / "cli.py").is_file():
+            parser.error(f"no library source at {src}")
+
+    workloads = load_workloads()
+    differing = []
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        for seed in args.seeds:
+            for index, (kind, op_args) in enumerate(distinct_ops(workloads)):
+                label = f"seed {seed}: {workloads.op_label(kind, op_args)}"
+                runs = []
+                for side, src in enumerate(srcs):
+                    out = Path(tmp) / f"{seed}_{index}_{side}"
+                    out.mkdir()
+                    runs += [run_op(src, workloads.op_argv(kind, op_args, seed, str(out))), out]
+                diffs = differences(*runs)  # exit code and directory of each side
+                print(f"{'DIFF' if diffs else 'same'}  {label}"
+                      + (f"  ({'; '.join(diffs)})" if diffs else ""), flush=True)
+                if diffs:
+                    differing.append(label)
+    if differing:
+        print(f"{len(differing)} op(s) differ:", *differing, sep="\n  ")
+        return 1
+    print("all ops byte-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
