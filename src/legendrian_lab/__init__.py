@@ -8,7 +8,7 @@ area descent), report (serialization), cli (command line).
 
 from .contact import contact_form, j_apply, project_contact_hyperplane, reeb
 from .extrinsic import adapted_frame, extrinsic_data, pointwise_identity_residuals
-from .flow import first_variation_check, run_flow, variation_field
+from .flow import first_variation_check, run_flow
 from .grid_ops import derived_geometry, integral_report, quadrature
 from .immersions import (
     GridSurface,
@@ -17,7 +17,6 @@ from .immersions import (
     catalog,
     eval_jet2,
     load_grid,
-    perturb_legendrian,
     perturbed_torus,
     resample_to_grid,
     save_grid,
@@ -39,7 +38,6 @@ __all__ = [
     "integral_report",
     "j_apply",
     "load_grid",
-    "perturb_legendrian",
     "perturbed_torus",
     "pointwise_identity_residuals",
     "project_contact_hyperplane",
@@ -48,7 +46,6 @@ __all__ = [
     "resample_to_grid",
     "run_flow",
     "save_grid",
-    "variation_field",
 ]
 
 __version__ = "0.1.0"

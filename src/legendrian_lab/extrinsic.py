@@ -162,7 +162,7 @@ class ExtrinsicData:
     rho2: np.ndarray         # (...,)
     K: np.ndarray            # (...,)
     legendrian_residual: np.ndarray  # (...,) max |alpha(d_i)|
-    B: np.ndarray            # (..., 2, 2, 6) normal-valued form, coordinate indices
+    Bhat: np.ndarray         # (..., 2, 2, 6) normal-valued form, flat indices
 
 
 def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
@@ -180,21 +180,23 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     ginv[..., 1, 1] = g[..., 0, 0] / det
     ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
 
-    B = np.empty(p.shape[:-1] + (2, 2, 6))
+    B = {}  # coordinate components B_ij
     for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv)):
         b = d2 + g[..., i, j, None] * p
         for e in frame.tangents():
             b = b - dot(b, e)[..., None] * e
-        B[..., i, j, :] = b - dot(b, p)[..., None] * p  # guard residual radial part of FD jets
-    B[..., 1, 0, :] = B[..., 0, 1, :]
+        B[i, j] = b - dot(b, p)[..., None] * p  # guard residual radial part of FD jets
+    B[1, 0] = B[0, 1]
 
     # flat indices: Bhat_ab = sum_ij (c_ai c_bj) B_ij, summed in (i, j) order
     c = frame.coeff
+    Bhat = np.empty(p.shape[:-1] + (2, 2, 6))
     h = np.empty(p.shape[:-1] + (3, 2, 2))
     for a in range(2):
         for b in range(2):
-            bhat = sum((c[..., a, i] * c[..., b, j])[..., None] * B[..., i, j, :]
+            bhat = sum((c[..., a, i] * c[..., b, j])[..., None] * B[i, j]
                        for i in range(2) for j in range(2))
+            Bhat[..., a, b, :] = bhat
             for k, n in enumerate(frame.normals()):
                 h[..., k, a, b] = dot(bhat, n)
 
@@ -209,7 +211,7 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     res = np.maximum(np.abs(au), np.abs(av))
     return ExtrinsicData(
         g=g, ginv=ginv, sqrt_det_g=np.sqrt(det), h=h, Hcomp=Hcomp, Hvec=Hvec,
-        H2=H2, S=S, rho2=rho2, K=K, legendrian_residual=res, B=B,
+        H2=H2, S=S, rho2=rho2, K=K, legendrian_residual=res, Bhat=Bhat,
     )
 
 

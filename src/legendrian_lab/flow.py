@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import contact, grid_ops, grids
-from .contact import dot, j_apply
+from .contact import dot
 from .immersions import GridSurface, variation_field_on_positions
 from .report import Report
 
@@ -40,19 +40,6 @@ MAX_HALVINGS = 20
 DEFAULT_TAU0 = 0.03
 DEFAULT_SMOOTHING = 0.02
 DEFAULT_STEP_CAP = 2e-3
-
-
-def variation_field(geo: grid_ops.DerivedGeometry, f):
-    """Legendrian variation V_f = f R + (1/2) J0 grad_g f with alpha(V_f) = f.
-
-    The 1/2 is forced by d(alpha) = 2 sum dx ^ dy; with it the deformation
-    preserves the Legendrian condition to first order (drift is quadratic
-    in the displacement).
-    """
-    f = np.asarray(f, dtype=float)
-    r = j_apply(geo.jet.value)
-    grad = grid_ops.gradient(f, geo)
-    return f[..., None] * r + 0.5 * j_apply(grad)
 
 
 def area_of_positions(positions, scheme):
@@ -77,7 +64,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
         raise ValueError("finite-difference step eps must lie in (0, 1e-2]")
     geo.check_legendrian(what="first_variation_check")
     f = np.asarray(f, dtype=float)
-    v = variation_field(geo, f)
+    v = variation_field_on_positions(geo.jet.value, f, geo.scheme)
 
     geometric = -2.0 * grid_ops.quadrature(dot(geo.data.Hvec, v), geo)
     div, _ = grid_ops.div_JH(geo)
@@ -88,6 +75,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
     return geometric, divergence, fd
 
 
+@functools.lru_cache(maxsize=8)
 def torus_jacobi_multiplier(n, gamma):
     """Fourier multiplier of the smoothed, saddle-filtered descent.
 
@@ -95,11 +83,6 @@ def torus_jacobi_multiplier(n, gamma):
     Laplacian spectrum; Q = lambda(lambda-6)/4 the area Hessian on
     Legendrian potentials.  The array is cached and read-only.
     """
-    return _jacobi_multiplier(n, gamma)
-
-
-@functools.lru_cache(maxsize=8)
-def _jacobi_multiplier(n, gamma):
     k = np.fft.fftfreq(n, d=1.0 / n)
     km, kn = np.meshgrid(k, k, indexing="ij")
     lam = 2.0 * (km**2 - km * kn + kn**2)

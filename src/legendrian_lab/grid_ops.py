@@ -127,13 +127,6 @@ def divergence(w_contra, geo: DerivedGeometry):
     return (geo.d(sg * w_contra[..., 0], 0) + geo.d(sg * w_contra[..., 1], 1)) / sg
 
 
-def gradient(f, geo: DerivedGeometry):
-    """Intrinsic gradient as an ambient Vec6 field."""
-    df = np.stack([geo.d(f, 0), geo.d(f, 1)], axis=-1)
-    up = np.einsum("...ab,...b->...a", geo.data.ginv, df)
-    return up[..., 0, None] * geo.jet.du + up[..., 1, None] * geo.jet.dv
-
-
 def intrinsic_gauss_curvature(geo: DerivedGeometry):
     """Gauss curvature from the metric alone (Brioschi formula)."""
     g = geo.data.g
@@ -177,10 +170,25 @@ def covariant_derivative_normal(v, geo: DerivedGeometry):
     """nabla^nu_i V for i = u, v: sphere connection then normal projection."""
     p = geo.jet.value
     tangents = (geo.jet.du, geo.jet.dv)
-    out = []
+    return [geo.project_normal(contact.sphere_connection(p, v, geo.d(v, i), tangents[i]))
+            for i in range(2)]
+
+
+def _connection_laplacian(first, geo: DerivedGeometry, project):
+    """g^{ij} (nabla_i nabla_j V - Gamma^k_ij nabla_k V) from first = [nabla_u V, nabla_v V].
+
+    first holds the already-projected first derivatives; project maps a
+    sphere-connection derivative into the bundle whose connection is meant.
+    """
+    p = geo.jet.value
+    tangents = (geo.jet.du, geo.jet.dv)
+    out = np.zeros_like(first[0])
     for i in range(2):
-        w = geo.d(v, i) + dot(tangents[i], v)[..., None] * p
-        out.append(geo.project_normal(w))
+        for j in range(2):
+            second = project(contact.sphere_connection(p, first[j], geo.d(first[j], i),
+                                                       tangents[i]))
+            corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
+            out = out + geo.data.ginv[..., i, j, None] * (second - corr)
     return out
 
 
@@ -192,18 +200,7 @@ def normal_laplacian(v, geo: DerivedGeometry, check=True):
     v = np.asarray(v, dtype=float)
     if check:
         check_normal_field(v, geo, what="normal_laplacian input")
-    first = covariant_derivative_normal(v, geo)
-    p = geo.jet.value
-    tangents = (geo.jet.du, geo.jet.dv)
-    ginv = geo.data.ginv
-    out = np.zeros_like(v)
-    for i in range(2):
-        for j in range(2):
-            w = geo.d(first[j], i) + dot(tangents[i], first[j])[..., None] * p
-            second = geo.project_normal(w)
-            corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
-            out = out + ginv[..., i, j, None] * (second - corr)
-    return out
+    return _connection_laplacian(covariant_derivative_normal(v, geo), geo, geo.project_normal)
 
 
 def div_JH(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
@@ -352,20 +349,12 @@ def omega_commutation_residual(v, geo: DerivedGeometry):
     theta = omega_contraction(v, geo)
     lhs = oneform_rough_laplacian(theta, geo)
 
-    p = geo.jet.value
-    r = j_apply(p)
+    r = j_apply(geo.jet.value)
     proj_ker = lambda w: w - dot(w, r)[..., None] * r
     first_full = covariant_derivative_normal(v, geo)
     discrepancy = max(float(np.max(np.abs(dot(w, r)))) for w in first_full)
     first = [proj_ker(w) for w in first_full]
-    tangents = (geo.jet.du, geo.jet.dv)
-    lap = np.zeros_like(v)
-    for i in range(2):
-        for j in range(2):
-            w = geo.d(first[j], i) + dot(tangents[i], first[j])[..., None] * p
-            second = proj_ker(geo.project_normal(w))
-            corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
-            lap = lap + geo.data.ginv[..., i, j, None] * (second - corr)
+    lap = _connection_laplacian(first, geo, lambda w: proj_ker(geo.project_normal(w)))
     rhs = omega_contraction(lap, geo)
     return lhs - rhs, discrepancy
 
@@ -437,9 +426,7 @@ def normal_gradient_H_squared(geo: DerivedGeometry):
     hvec = geo.data.Hvec
     out = np.zeros(p.shape[:-1])
     for k in range(2):
-        w = geo.d_frame(hvec, k)
-        w = w + dot(e[k], hvec)[..., None] * p
-        w = geo.project_normal(w)
+        w = geo.project_normal(contact.sphere_connection(p, hvec, geo.d_frame(hvec, k), e[k]))
         out = out + dot(w, w)
     return out
 
@@ -451,7 +438,7 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     p = geo.jet.value
     e = geo.frame.tangents()
     normals = geo.frame.normals()
-    bhat = np.einsum("...ai,...bj,...ijk->...abk", geo.frame.coeff, geo.frame.coeff, geo.data.B)
+    bhat = geo.data.Bhat
 
     # tangential frame connection omega[k, a, b] = <D_k E_a, E_b>
     omega = np.empty(p.shape[:-1] + (2, 2, 2))
@@ -473,9 +460,8 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     for k in range(2):
         for a in range(2):
             for b in range(2):
-                w = geo.d_frame(bhat[..., a, b, :], k)
-                w = w + dot(e[k], bhat[..., a, b, :])[..., None] * p
-                w = geo.project_normal(w)
+                bab = bhat[..., a, b, :]
+                w = geo.project_normal(contact.sphere_connection(p, bab, geo.d_frame(bab, k), e[k]))
                 w = w - sum(omega[..., k, a, l, None] * bhat[..., l, b, :] for l in range(2))
                 w = w - sum(omega[..., k, b, l, None] * bhat[..., a, l, :] for l in range(2))
                 full_h2 = full_h2 + dot(w, w)

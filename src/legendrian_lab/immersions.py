@@ -321,22 +321,16 @@ def load_grid(path) -> GridSurface:
 
 
 # ---------------------------------------------------------------------------
-# Legendrian perturbations
-
-
-def legendrian_residual_of_grid(surface: GridSurface):
-    """Max pointwise |alpha(d_i)| over both coordinate directions."""
-    jet = surface.jets()
-    au = contact.contact_form(jet.value, jet.du, check=False)
-    av = contact.contact_form(jet.value, jet.dv, check=False)
-    return float(max(np.max(np.abs(au)), np.max(np.abs(av))))
+# Legendrian variation field
 
 
 def variation_field_on_positions(positions, f, scheme):
-    """V = f R + (1/2) J0 grad_g f on the sampled surface.
+    """Legendrian variation V_f = f R + (1/2) J0 grad_g f, with alpha(V_f) = f.
 
-    The 1/2 is forced by d(alpha) = 2 sum dx ^ dy: it is the unique scaling
-    for which the deformation preserves alpha(d_i) = 0 to first order.
+    The metric and grad_g f are taken from the positions with the given
+    scheme.  The 1/2 is forced by d(alpha) = 2 sum dx ^ dy: it is the
+    unique scaling for which the deformation preserves alpha(d_i) = 0 to
+    first order (the drift is quadratic in the displacement).
     """
     xu = grids.deriv(positions, 0, scheme)
     xv = grids.deriv(positions, 1, scheme)
@@ -350,40 +344,6 @@ def variation_field_on_positions(positions, f, scheme):
     cv = (-g12 * fu + g11 * fv) / det
     grad = cu[..., None] * xu + cv[..., None] * xv
     return f[..., None] * contact.j_apply(positions) + 0.5 * contact.j_apply(grad)
-
-
-@dataclass(frozen=True)
-class PerturbationResult:
-    surface: GridSurface
-    legendrian_residual: float
-
-
-def perturb_legendrian(surface: GridSurface, f, steps=1, tau=1.0,
-                       abort_residual=1e-3) -> PerturbationResult:
-    """Explicit Euler integration of dL/dt = V_f, re-projecting to the sphere.
-
-    f is a grid scalar held fixed while the variation field is rebuilt from
-    the current surface each step; the accumulated Legendrian residual is
-    O((steps * tau * ||f||)^2) and is returned.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (surface.n, surface.n):
-        raise ValueError(f"f must be ({surface.n}, {surface.n}), got {f.shape}")
-    res0 = legendrian_residual_of_grid(surface)
-    if res0 > 1e-6:
-        raise ValueError(f"source surface not Legendrian: residual {res0:.3e} > 1e-6")
-    pos = surface.positions.copy()
-    for _ in range(int(steps)):
-        pos = pos + tau * variation_field_on_positions(pos, f, surface.scheme)
-        pos = contact.normalize(pos)
-    out = surface.with_positions(pos)
-    res = legendrian_residual_of_grid(out)
-    if res > abort_residual:
-        raise ValueError(
-            f"Legendrian residual {res:.3e} exceeds {abort_residual:.1e} after "
-            f"{steps} steps of size {tau:g}; reduce steps*tau*||f||"
-        )
-    return PerturbationResult(surface=out, legendrian_residual=res)
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +372,8 @@ class QuadraticContactHamiltonian:
         """V = f R + (1/2) J0 (grad_xi f), the contact vector field."""
         f = self.value(q)
         g = self.gradient(q)
-        r = contact.j_apply(q)
-        g_sphere = g - contact.dot(g, q)[..., None] * q
-        g_xi = g_sphere - contact.dot(g_sphere, r)[..., None] * r
-        return f[..., None] * r + 0.5 * contact.j_apply(g_xi)
+        g_xi = contact.project_contact_hyperplane(q, g, check=False)
+        return f[..., None] * contact.j_apply(q) + 0.5 * contact.j_apply(g_xi)
 
 
 def _pair_quadratic(i, j, kind):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from legendrian_lab import contact, flow, grid_ops, grids, immersions
+from legendrian_lab import contact, extrinsic, flow, grid_ops, grids, immersions
 from tests.conftest import A_TORUS
 
 
@@ -19,9 +19,13 @@ def converged_flow():
 # variation field
 
 
+def _variation_field(geo, f):
+    return immersions.variation_field_on_positions(geo.jet.value, f, geo.scheme)
+
+
 def test_variation_field_constant_gives_pure_reeb(geometry_cache):
     geo = geometry_cache("torus", 16, "spectral")
-    v = flow.variation_field(geo, 0.7 * np.ones((16, 16)))
+    v = _variation_field(geo, 0.7 * np.ones((16, 16)))
     assert np.max(contact.norm(v - 0.7 * contact.reeb(geo.jet.value))) < 1e-12
 
 
@@ -29,21 +33,25 @@ def test_variation_field_alpha_component_equals_potential(geometry_cache):
     geo = geometry_cache("torus", 32, "spectral")
     uu, vv = grids.grid_nodes(32)
     f = 0.3 * np.cos(uu) + 0.2 * np.sin(2 * vv)
-    v = flow.variation_field(geo, f)
+    v = _variation_field(geo, f)
     alpha_v = contact.contact_form(geo.jet.value, v, check=False)
     assert np.max(np.abs(alpha_v - f)) < 1e-10
 
 
 def test_variation_drift_quadratic_in_step(geometry_cache):
+    """One explicit step along V_f leaves a Legendrian drift of order tau^2.
+
+    V_f is linear in f, so scaling tau also scales the amplitude of f.
+    """
     geo = geometry_cache("torus", 32, "spectral")
     uu, _ = grids.grid_nodes(32)
-    v = flow.variation_field(geo, np.cos(uu))
+    v = _variation_field(geo, np.cos(uu))
     taus = (1e-2, 5e-3, 2.5e-3)
     drifts = []
     for tau in taus:
         moved = contact.normalize(geo.jet.value + tau * v)
-        g = immersions.GridSurface(positions=moved, scheme="spectral")
-        drifts.append(immersions.legendrian_residual_of_grid(g))
+        jet = immersions.GridSurface(positions=moved, scheme="spectral").jets()
+        drifts.append(max(float(np.max(np.abs(a))) for a in extrinsic.legendrian_residual(jet)))
     slope = np.polyfit(np.log(taus), np.log(drifts), 1)[0]
     assert slope > 1.9
 
@@ -84,7 +92,7 @@ def test_second_variation_spectrum_of_flat_torus(geometry_cache):
     eps = 2e-3
     for (m, n) in ((1, 0), (1, -1), (2, 0), (2, -1), (3, 0)):
         f = np.cos(m * uu + n * vv)
-        v = flow.variation_field(geo, eps * f)
+        v = _variation_field(geo, eps * f)
         ap = flow.area_of_positions(contact.normalize(base + v), "spectral")
         am = flow.area_of_positions(contact.normalize(base - v), "spectral")
         measured = (ap + am - 2 * A_TORUS) / eps**2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from legendrian_lab import contact, grid_ops, grids, immersions
+from legendrian_lab import contact, extrinsic, grid_ops, grids, immersions
 
 SQRT3 = np.sqrt(3.0)
 A_TORUS = 4 * np.pi**2 / np.sqrt(3)
@@ -218,35 +218,6 @@ def test_grid_load_rejects_nan(tmp_path):
 # perturbations
 
 
-def test_perturb_zero_field_is_identity():
-    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "spectral")
-    out = immersions.perturb_legendrian(g, np.zeros((16, 16)), steps=3, tau=0.5)
-    assert np.allclose(out.surface.positions, g.positions, atol=1e-15)
-    assert out.legendrian_residual < 1e-12
-
-
-def test_perturb_drift_quadratic_in_amplitude():
-    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32, "spectral")
-    uu, _ = grids.grid_nodes(32)
-    residuals = []
-    amps = [0.01, 0.02, 0.04]
-    for eps in amps:
-        out = immersions.perturb_legendrian(g, eps * np.cos(uu), steps=1, tau=1.0)
-        residuals.append(out.legendrian_residual)
-    slope = np.polyfit(np.log(amps), np.log(residuals), 1)[0]
-    assert slope > 1.9
-
-
-def test_perturb_rejects_non_legendrian_source_and_large_steps():
-    c = immersions.resample_to_grid(immersions.catalog("clifford_s3"), 16, "spectral")
-    with pytest.raises(ValueError):
-        immersions.perturb_legendrian(c, np.zeros((16, 16)))
-    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "spectral")
-    uu, _ = grids.grid_nodes(16)
-    with pytest.raises(ValueError):
-        immersions.perturb_legendrian(g, 0.8 * np.cos(uu), steps=4, tau=1.0)
-
-
 def test_stable_mode_perturbation_increases_area():
     geo = grid_ops.derived_geometry(
         immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral", seed=0, mode="stable")
@@ -256,18 +227,20 @@ def test_stable_mode_perturbation_increases_area():
 
 def test_euler_perturbation_along_stable_mode_increases_area():
     # cos(2u) sits above the stability threshold of the torus area Hessian,
-    # so the deformed surface is strictly larger (quadrature oracle)
+    # so one explicit Euler step along V_f gives a strictly larger surface
+    # (quadrature oracle)
     g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32, "spectral")
     uu, _ = grids.grid_nodes(32)
-    out = immersions.perturb_legendrian(g, 0.02 * np.cos(2 * uu), steps=1, tau=1.0)
-    geo = grid_ops.derived_geometry(out.surface)
+    v = immersions.variation_field_on_positions(g.positions, 0.02 * np.cos(2 * uu), "spectral")
+    geo = grid_ops.derived_geometry(g.with_positions(contact.normalize(g.positions + v)))
     assert grid_ops.surface_area(geo) > A_TORUS + 1e-6
 
 
 def test_ambient_perturbation_exactly_legendrian():
     for mode in ("stable", "generic"):
         g = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=1, mode=mode)
-        assert immersions.legendrian_residual_of_grid(g) < 1e-10
+        residual = extrinsic.legendrian_residual(g.jets())
+        assert max(float(np.max(np.abs(a))) for a in residual) < 1e-10
 
 
 def test_ambient_perturbation_scale_set_by_eps():

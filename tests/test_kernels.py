@@ -1,8 +1,10 @@
-"""The closed-form geometry kernels against the einsum formulas they replace.
+"""The closed-form geometry kernels against the formulas they replace.
 
 The spectral flows sit at the roundoff floor, so the explicit 2x2 sums
 in extrinsic_data, derived_geometry and _generic_normals must give the
-same bits as the general contractions, not merely close values.
+same bits as the general contractions, not merely close values, and the
+shared connection-Laplacian loop must give the same bits as the two
+loops it merges.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from legendrian_lab.contact import dot, norm
 
 
 def _reference_extrinsic(jet, frame):
-    """B, h, Hvec, S and H2 through the three-operand einsum."""
+    """Bhat, h, Hvec, S and H2 through the three-operand einsum."""
     p = jet.value
     g = np.zeros(p.shape[:-1] + (2, 2))
     g[..., 0, 0] = dot(jet.du, jet.du)
@@ -34,7 +36,7 @@ def _reference_extrinsic(jet, frame):
     Hvec = sum(Hcomp[..., b, None] * n for b, n in enumerate(frame.normals()))
     H2 = np.einsum("...b,...b->...", Hcomp, Hcomp)
     S = np.einsum("...bij,...bij->...", h, h)
-    return {"B": B, "h": h, "Hvec": Hvec, "S": S, "H2": H2}
+    return {"Bhat": Bhat, "h": h, "Hvec": Hvec, "S": S, "H2": H2}
 
 
 def _reference_gamma(geo):
@@ -66,6 +68,61 @@ def _reference_generic_normals(p, e1, e2):
         assert np.all(have)
         normals.append(contact.normalize(cand))
     return normals
+
+
+def _reference_normal_laplacian(v, geo):
+    """The normal_laplacian double loop written out in full."""
+    p = geo.jet.value
+    tangents = (geo.jet.du, geo.jet.dv)
+    first = []
+    for i in range(2):
+        w = geo.d(v, i) + dot(tangents[i], v)[..., None] * p
+        first.append(geo.project_normal(w))
+    out = np.zeros_like(v)
+    for i in range(2):
+        for j in range(2):
+            w = geo.d(first[j], i) + dot(tangents[i], first[j])[..., None] * p
+            second = geo.project_normal(w)
+            corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
+            out = out + geo.data.ginv[..., i, j, None] * (second - corr)
+    return out
+
+
+def _reference_omega_commutation(v, geo):
+    """The omega_commutation_residual double loop written out in full."""
+    theta = grid_ops.omega_contraction(v, geo)
+    lhs = grid_ops.oneform_rough_laplacian(theta, geo)
+    p = geo.jet.value
+    r = contact.j_apply(p)
+    proj_ker = lambda w: w - dot(w, r)[..., None] * r
+    tangents = (geo.jet.du, geo.jet.dv)
+    first_full = []
+    for i in range(2):
+        w = geo.d(v, i) + dot(tangents[i], v)[..., None] * p
+        first_full.append(geo.project_normal(w))
+    discrepancy = max(float(np.max(np.abs(dot(w, r)))) for w in first_full)
+    first = [proj_ker(w) for w in first_full]
+    lap = np.zeros_like(v)
+    for i in range(2):
+        for j in range(2):
+            w = geo.d(first[j], i) + dot(tangents[i], first[j])[..., None] * p
+            second = proj_ker(geo.project_normal(w))
+            corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
+            lap = lap + geo.data.ginv[..., i, j, None] * (second - corr)
+    return lhs - grid_ops.omega_contraction(lap, geo), discrepancy
+
+
+@pytest.fixture(scope="module")
+def flowed_geo():
+    """Two spectral N=16 flow steps: the frame has turned generic."""
+    start = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=0,
+                                       mode="stable")
+    state = flow.start_flow(start)
+    flow.flow_step(state)
+    flow.flow_step(state)
+    assert state.step_index == 2
+    assert not state.geo.frame.legendrian
+    return state.geo
 
 
 def _assert_extrinsic_identical(jet, frame):
@@ -126,16 +183,23 @@ def test_generic_normals_match_per_round_projection_on_clifford(geometry_cache):
     _assert_generic_normals_identical(geometry_cache("clifford", 32, "spectral"))
 
 
-def test_generic_normals_match_per_round_projection_on_flowed_grid():
-    start = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=0,
-                                       mode="stable")
-    state = flow.start_flow(start)
-    flow.flow_step(state)
-    flow.flow_step(state)
-    assert state.step_index == 2
-    assert not state.geo.frame.legendrian
-    _assert_generic_normals_identical(state.geo)
-    _assert_extrinsic_identical(state.geo.jet, state.geo.frame)
+def test_generic_normals_match_per_round_projection_on_flowed_grid(flowed_geo):
+    _assert_generic_normals_identical(flowed_geo)
+    _assert_extrinsic_identical(flowed_geo.jet, flowed_geo.frame)
+
+
+@pytest.mark.parametrize("case", ["fd4", "spectral", "flowed"])
+def test_connection_laplacians_match_their_double_loops(case, geometry_cache, flowed_geo):
+    geo = flowed_geo if case == "flowed" else geometry_cache("torus", 32, case, eps=0.02)
+    h = geo.data.Hvec
+    assert np.array_equal(grid_ops.normal_laplacian(h, geo, check=False),
+                          _reference_normal_laplacian(h, geo))
+    uu, vv = grids.grid_nodes(geo.n)
+    w = grid_ops.ker_alpha_normal_field(geo, 0.3 + 0.1 * np.cos(uu), 0.2 * np.sin(vv))
+    resform, discrepancy = grid_ops.omega_commutation_residual(w, geo)
+    ref_form, ref_discrepancy = _reference_omega_commutation(w, geo)
+    assert np.array_equal(resform, ref_form)
+    assert discrepancy == ref_discrepancy
 
 
 def test_cached_fourier_multipliers_are_read_only():
