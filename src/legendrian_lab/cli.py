@@ -26,12 +26,7 @@ from . import extrinsic, flow, grid_ops, grids, immersions
 from .contact import sasakian_identity_residuals
 from .report import Report
 
-SURFACES = (
-    "legendrian-torus",
-    "equatorial-legendrian-sphere",
-    "clifford-s3",
-    "veronese-s4",
-)
+SURFACES = tuple(name.replace("_", "-") for name in immersions.CATALOG_NAMES)
 
 # assertion tolerances by scheme for integrals of catalog data; the fd
 # constants are calibrated to ~5x the measured discretization error on
@@ -54,20 +49,18 @@ def _usage_error(message):
 def _validate(args):
     if args.grid % 2 != 0 or not 8 <= args.grid <= 512:
         _usage_error(f"--grid must be even and in [8, 512], got {args.grid}")
-    if args.scheme not in grids.SCHEMES:
-        _usage_error(f"--scheme must be one of {grids.SCHEMES}")
-    if args.surface not in SURFACES:
-        _usage_error(f"--surface must be one of {SURFACES}")
     for name in ("tol", "tau0", "epsilon", "theta"):
         if not np.isfinite(getattr(args, name, 0.0)):
             _usage_error(f"--{name} must be finite, got {getattr(args, name)}")
     for name in ("tol", "tau0"):
         if getattr(args, name, 1.0) <= 0:
-            _usage_error(f"--{name.replace('_', '-')} must be positive")
-    if getattr(args, "epsilon", 0.0) < 0:
+            _usage_error(f"--{name} must be positive")
+    if args.epsilon < 0:
         _usage_error("--epsilon must be nonnegative")
-    if getattr(args, "epsilon", 0.0) > 0 and args.surface != "legendrian-torus":
-        _usage_error("--epsilon applies to the legendrian-torus family only")
+    if args.surface != "legendrian-torus":
+        for name in ("epsilon", "theta"):
+            if getattr(args, name) != 0.0:
+                _usage_error(f"--{name} applies to the legendrian-torus family only")
     if getattr(args, "max_steps", 1) < 1:
         _usage_error("--max-steps must be at least 1")
 
@@ -77,13 +70,9 @@ def _build_grid(args, n=None, mode="generic"):
     if args.surface != "legendrian-torus":
         surf = immersions.catalog(args.surface)
         return immersions.resample_to_grid(surf, n, args.scheme)
-    if args.epsilon > 0:
-        return immersions.perturbed_torus(
-            theta=args.theta, eps=args.epsilon, n=n, scheme=args.scheme,
-            seed=args.seed, mode=mode,
-        )
-    return immersions.resample_to_grid(
-        immersions.catalog("legendrian_torus", theta=args.theta), n, args.scheme
+    return immersions.perturbed_torus(
+        theta=args.theta, eps=args.epsilon, n=n, scheme=args.scheme,
+        seed=args.seed, mode=mode,
     )
 
 
@@ -91,6 +80,19 @@ def _record(rep, failures, key, value, ok):
     rep.set(key, value)
     if not ok:
         failures.append(key)
+
+
+def _set_run_keys(rep, args):
+    for key in ("command", "surface", "scheme", "grid", "seed"):
+        rep.set(key, getattr(args, key))
+
+
+def _finish(rep, failures, out):
+    """Record the verdict, write the reports and return the exit code."""
+    rep.set("failed", ",".join(failures) if failures else "none")
+    rep.set("passed", not failures)
+    rep.write(out)
+    return 1 if failures else 0
 
 
 _POINTWISE_EXPECT = {
@@ -177,11 +179,7 @@ def _residual_pack(geo):
 def cmd_verify(args):
     _validate(args)
     rep = Report()
-    rep.set("command", "verify")
-    rep.set("surface", args.surface)
-    rep.set("scheme", args.scheme)
-    rep.set("grid", args.grid)
-    rep.set("seed", args.seed)
+    _set_run_keys(rep, args)
     failures = []
 
     if args.epsilon == 0.0:
@@ -214,11 +212,7 @@ def cmd_verify(args):
             rep.set("gauss_consistency_res_N", kdev1)
             _record(rep, failures, "gauss_consistency_ok", kdev1,
                     kdev1 <= max(1e-8, 100.0 * args.grid ** -2.0))
-
-    rep.set("failed", ",".join(failures) if failures else "none")
-    rep.set("passed", not failures)
-    rep.write(args.out)
-    return 1 if failures else 0
+    return _finish(rep, failures, args.out)
 
 
 def cmd_integrals(args):
@@ -226,11 +220,7 @@ def cmd_integrals(args):
     g = _build_grid(args)
     geo = grid_ops.derived_geometry(g)
     rep = grid_ops.integral_report(geo)
-    rep.set("command", "integrals")
-    rep.set("surface", args.surface)
-    rep.set("scheme", args.scheme)
-    rep.set("grid", args.grid)
-    rep.set("seed", args.seed)
+    _set_run_keys(rep, args)
     failures = []
     tol = _INTEGRAL_TOL[args.scheme](args.grid)
     rep.set("assert_tol", tol)
@@ -254,11 +244,7 @@ def cmd_integrals(args):
         for key, expect in (("area", a0), ("I3", 0.0)):
             dev = abs(rep[key] - expect)
             _record(rep, failures, f"{key}_dev", dev, dev <= tol)
-
-    rep.set("failed", ",".join(failures) if failures else "none")
-    rep.set("passed", not failures)
-    rep.write(args.out)
-    return 1 if failures else 0
+    return _finish(rep, failures, args.out)
 
 
 def cmd_flow(args):
@@ -268,11 +254,7 @@ def cmd_flow(args):
     g = _build_grid(args, mode="stable")
     result = flow.run_flow(g, tau0=args.tau0, max_steps=args.max_steps, tol=args.tol)
     rep = result.report
-    rep.set("command", "flow")
-    rep.set("surface", args.surface)
-    rep.set("scheme", args.scheme)
-    rep.set("grid", args.grid)
-    rep.set("seed", args.seed)
+    _set_run_keys(rep, args)
     rep.set("epsilon", args.epsilon)
     rep.set("tau0", args.tau0)
     rep.set("tol", args.tol)
@@ -290,15 +272,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--surface", default="legendrian-torus", help=f"one of {SURFACES}")
+        p.add_argument("--surface", default="legendrian-torus", choices=SURFACES)
         p.add_argument("--theta", type=float, default=0.0,
-                       help="torus angle parameter (normalized mod 2pi)")
+                       help="torus angle parameter (normalized mod 2pi), torus family only")
         p.add_argument("--epsilon", type=float, default=0.0,
                        help="perturbation amplitude for the torus family")
         p.add_argument("--seed", type=int, default=0, help="perturbation seed")
         p.add_argument("--grid", type=int, default=32, help="grid resolution N (even, 8..512)")
         p.add_argument("--scheme", default="spectral", choices=grids.SCHEMES)
-        p.add_argument("--tol", type=float, default=1e-4)
         p.add_argument("--out", default=".", help="output directory for reports")
 
     pv = sub.add_parser("verify", help="pointwise and grid residual suites")
@@ -312,7 +293,9 @@ def build_parser():
     pf = sub.add_parser("flow", help="Legendrian-constrained area descent")
     common(pf)
     pf.add_argument("--tau0", type=float, default=flow.DEFAULT_TAU0)
-    pf.add_argument("--max-steps", type=int, default=5000)
+    pf.add_argument("--max-steps", type=int, default=flow.DEFAULT_MAX_STEPS)
+    pf.add_argument("--tol", type=float, default=flow.DEFAULT_TOL,
+                    help="target ||div JH||_2 relative to the start")
     pf.set_defaults(func=cmd_flow)
     return parser
 

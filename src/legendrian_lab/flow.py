@@ -38,8 +38,11 @@ FLOW_LEGENDRIAN_ABORT = 1e-3
 TAU_UNDERFLOW = 1e-12
 MAX_HALVINGS = 20
 DEFAULT_TAU0 = 0.03
-DEFAULT_SMOOTHING = 0.02
-DEFAULT_STEP_CAP = 2e-3
+DEFAULT_MAX_STEPS = 5000
+DEFAULT_TOL = 1e-4
+SMOOTHING = 0.02  # gamma of the multiplier (1 + gamma Q(lambda))^{-1}
+STEP_CAP = 2e-3  # largest node displacement of one step
+DIV_JH_FLOOR = 1e-10  # absolute stationarity target of run_flow
 
 
 def area_of_positions(positions, scheme):
@@ -76,7 +79,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
 
 
 @functools.lru_cache(maxsize=8)
-def torus_jacobi_multiplier(n, gamma):
+def torus_jacobi_multiplier(n):
     """Fourier multiplier of the smoothed, saddle-filtered descent.
 
     lambda(m, n) = 2(m^2 - mn + n^2) is the (negative of the) flat-torus
@@ -87,18 +90,16 @@ def torus_jacobi_multiplier(n, gamma):
     km, kn = np.meshgrid(k, k, indexing="ij")
     lam = 2.0 * (km**2 - km * kn + kn**2)
     q = lam * (lam - 6.0) / 4.0
-    mult = 1.0 / (1.0 + gamma * np.maximum(q, 0.0))
+    mult = 1.0 / (1.0 + SMOOTHING * np.maximum(q, 0.0))
     mult[(lam > 0.0) & (lam < 6.0)] = 0.0
     mult.setflags(write=False)
     return mult
 
 
-def descent_potential(raw, gamma=DEFAULT_SMOOTHING):
+def descent_potential(raw):
     """Smoothed and saddle-filtered copy of the raw potential div(J0 H)."""
     raw = np.asarray(raw, dtype=float)
-    if gamma == 0.0:
-        return raw
-    mult = torus_jacobi_multiplier(raw.shape[0], gamma)
+    mult = torus_jacobi_multiplier(raw.shape[0])
     return np.fft.ifft2(np.fft.fft2(raw) * mult).real
 
 
@@ -116,8 +117,6 @@ class FlowState:
     step_index: int = 0
     tau: float = DEFAULT_TAU0
     tau0: float = DEFAULT_TAU0
-    smoothing: float = DEFAULT_SMOOTHING
-    step_cap: float = DEFAULT_STEP_CAP
     area_history: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)  # (divJH_l2, leg_res, el_sup)
     tau_history: list = field(default_factory=list)
@@ -137,13 +136,11 @@ def _diagnostics(geo: grid_ops.DerivedGeometry):
     return div, div_l2, leg, el
 
 
-def start_flow(surface: GridSurface, tau0=DEFAULT_TAU0, smoothing=DEFAULT_SMOOTHING,
-               step_cap=DEFAULT_STEP_CAP) -> FlowState:
+def start_flow(surface: GridSurface, tau0=DEFAULT_TAU0) -> FlowState:
     geo = grid_ops.derived_geometry(surface)
     geo.check_legendrian(tol=1e-6, what="flow start")
     div, div_l2, leg, el = _diagnostics(geo)
-    state = FlowState(surface=surface, geo=geo, div_JH=div, tau=tau0, tau0=tau0,
-                      smoothing=smoothing, step_cap=step_cap)
+    state = FlowState(surface=surface, geo=geo, div_JH=div, tau=tau0, tau0=tau0)
     state.area_history.append(grid_ops.surface_area(geo))
     state.residual_history.append((div_l2, leg, el))
     return state
@@ -163,7 +160,7 @@ def flow_step(state: FlowState) -> FlowState:
             f"Legendrian residual {leg:.3e} exceeded abort threshold "
             f"{FLOW_LEGENDRIAN_ABORT:.1e} at step {state.step_index}"
         )
-    f = descent_potential(state.div_JH, state.smoothing)
+    f = descent_potential(state.div_JH)
     p = state.surface.positions
     scheme = state.surface.scheme
     v1 = variation_field_on_positions(p, f, scheme)
@@ -172,7 +169,7 @@ def flow_step(state: FlowState) -> FlowState:
         return state
 
     area = state.area
-    tau = min(state.tau, state.step_cap / vmax)
+    tau = min(state.tau, STEP_CAP / vmax)
     accepted = None
     for _ in range(MAX_HALVINGS + 1):
         if tau < TAU_UNDERFLOW:
@@ -218,9 +215,8 @@ class FlowResult:
     error: str | None = None
 
 
-def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=5000, tol=1e-4,
-             smoothing=DEFAULT_SMOOTHING, step_cap=DEFAULT_STEP_CAP,
-             stationary_floor=1e-10) -> FlowResult:
+def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
+             tol=DEFAULT_TOL) -> FlowResult:
     """Iterate flow_step until ||div JH||_2 <= tol * initial or max_steps.
 
     Inputs already stationary at the absolute floor terminate at step 0
@@ -231,9 +227,9 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=5000, tol=1e-4,
     """
     if not (tol > 0 and tau0 > 0):
         raise ValueError("tol and tau0 must be positive")
-    state = start_flow(surface, tau0=tau0, smoothing=smoothing, step_cap=step_cap)
+    state = start_flow(surface, tau0=tau0)
     initial_div = state.residual_history[0][0]
-    target = max(tol * initial_div, stationary_floor)
+    target = max(tol * initial_div, DIV_JH_FLOOR)
     converged = initial_div <= target
     error = None
     while not converged and state.step_index < max_steps and not state.stalled:

@@ -116,8 +116,9 @@ def laplace_beltrami(f, geo: DerivedGeometry):
     """(1/sqrt g) d_i (sqrt g g^{ij} d_j f); negative spectrum."""
     f = np.asarray(f, dtype=float)
     sg = geo.data.sqrt_det_g
-    flux_u = sg * (geo.data.ginv[..., 0, 0] * geo.d(f, 0) + geo.data.ginv[..., 0, 1] * geo.d(f, 1))
-    flux_v = sg * (geo.data.ginv[..., 1, 0] * geo.d(f, 0) + geo.data.ginv[..., 1, 1] * geo.d(f, 1))
+    fu, fv = geo.d(f, 0), geo.d(f, 1)
+    flux_u = sg * (geo.data.ginv[..., 0, 0] * fu + geo.data.ginv[..., 0, 1] * fv)
+    flux_v = sg * (geo.data.ginv[..., 1, 0] * fu + geo.data.ginv[..., 1, 1] * fv)
     return (geo.d(flux_u, 0) + geo.d(flux_v, 1)) / sg
 
 
@@ -159,10 +160,10 @@ def intrinsic_gauss_curvature(geo: DerivedGeometry):
     return (m1 - m2) / (E * G - F**2) ** 2
 
 
-def check_normal_field(v, geo: DerivedGeometry, tol=NORMAL_FIELD_TOL, what="field"):
+def check_normal_field(v, geo: DerivedGeometry, what="field"):
     dev = float(np.max(contact.norm(v - geo.project_normal(v))))
     scale = max(1.0, float(np.max(contact.norm(v))))
-    if not dev <= tol * scale:
+    if not dev <= NORMAL_FIELD_TOL * scale:
         raise ValueError(f"{what} is not a normal field: deviation {dev:.3e}")
 
 
@@ -266,9 +267,7 @@ def oneform_rough_laplacian(theta, geo: DerivedGeometry):
 
 def codifferential(theta, geo: DerivedGeometry):
     """delta theta = -(1/sqrt g) d_i (sqrt g g^{ij} theta_j)."""
-    sg = geo.data.sqrt_det_g
-    up = np.einsum("...ab,...b->...a", geo.data.ginv, theta)
-    return -(geo.d(sg * up[..., 0], 0) + geo.d(sg * up[..., 1], 1)) / sg
+    return -divergence(np.einsum("...ab,...b->...a", geo.data.ginv, theta), geo)
 
 
 def oneform_hodge_laplacian(theta, geo: DerivedGeometry):
@@ -502,7 +501,7 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
 # Integral report
 
 
-def integral_report(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL) -> Report:
+def integral_report(geo: DerivedGeometry) -> Report:
     """Area, Willmore energy, comparison integrals and integral identities.
 
     The Legendrian-only entries (E, Sigma_Simons, Li margin, decomposition
@@ -512,7 +511,7 @@ def integral_report(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL) -> R
     d = geo.data
     rep = Report()
     leg_res = float(np.max(d.legendrian_residual))
-    legendrian = leg_res <= legendrian_tol
+    legendrian = leg_res <= LEGENDRIAN_OP_TOL
     rep.set("area", surface_area(geo))
     rep.set("W", quadrature(d.rho2, geo))
     rep.set("I1", quadrature(1.5 * d.rho2 * (2.0 - d.S) + 2.0 * d.H2 * d.rho2 + 2.0 * d.H2, geo))

@@ -27,6 +27,7 @@ import numpy as np
 from . import contact, grids
 
 SQRT3 = np.sqrt(3.0)
+RK4_STEPS = 40  # per unit time of the ambient contact flow
 
 GRID_FORMAT_HEADER = "legendrian-lab grid v1"
 
@@ -45,8 +46,8 @@ class Jet2:
     duv: np.ndarray
     dvv: np.ndarray
 
-    def validate(self, tol=1e-10):
-        contact.check_sphere(self.value, tol, what="jet value")
+    def validate(self):
+        contact.check_sphere(self.value, 1e-10, what="jet value")
         tu = np.max(np.abs(contact.dot(self.du, self.value)))
         tv = np.max(np.abs(contact.dot(self.dv, self.value)))
         if not np.maximum(tu, tv) <= 1e-8:  # np.maximum keeps a NaN, max() may drop it
@@ -60,9 +61,6 @@ class Immersion:
     evaluator: Callable[[np.ndarray, np.ndarray], Jet2]
     periodic: tuple[bool, bool]
     domain: tuple[tuple[float, float], tuple[float, float]]
-
-    def __call__(self, u, v):
-        return self.evaluator(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
 
 
 def _stack6(*comps):
@@ -87,36 +85,29 @@ def _torus_evaluator(theta):
     return ev
 
 
-def _equatorial_sphere_evaluator():
-    def ev(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        z = np.zeros_like(u)
-        val = _stack6(cu * cv, z, su * cv, z, sv, z)
-        du = _stack6(-su * cv, z, cu * cv, z, z, z)
-        dv = _stack6(-cu * sv, z, -su * sv, z, cv, z)
-        duu = _stack6(-cu * cv, z, -su * cv, z, z, z)
-        duv = _stack6(su * sv, z, -cu * sv, z, z, z)
-        dvv = _stack6(-cu * cv, z, -su * cv, z, -sv, z)
-        return Jet2(val, du, dv, duu, duv, dvv)
-
-    return ev
+def _equatorial_sphere_jet(u, v):
+    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+    z = np.zeros_like(u)
+    val = _stack6(cu * cv, z, su * cv, z, sv, z)
+    du = _stack6(-su * cv, z, cu * cv, z, z, z)
+    dv = _stack6(-cu * sv, z, -su * sv, z, cv, z)
+    duu = _stack6(-cu * cv, z, -su * cv, z, z, z)
+    duv = _stack6(su * sv, z, -cu * sv, z, z, z)
+    dvv = _stack6(-cu * cv, z, -su * cv, z, -sv, z)
+    return Jet2(val, du, dv, duu, duv, dvv)
 
 
-def _clifford_evaluator():
+def _clifford_jet(u, v):
     r = 1.0 / np.sqrt(2.0)
-
-    def ev(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        z = np.zeros_like(u)
-        val = r * _stack6(cu, su, cv, sv, z, z)
-        du = r * _stack6(-su, cu, z, z, z, z)
-        dv = r * _stack6(z, z, -sv, cv, z, z)
-        duu = r * _stack6(-cu, -su, z, z, z, z)
-        duv = np.zeros_like(val)
-        dvv = r * _stack6(z, z, -cv, -sv, z, z)
-        return Jet2(val, du, dv, duu, duv, dvv)
-
-    return ev
+    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+    z = np.zeros_like(u)
+    val = r * _stack6(cu, su, cv, sv, z, z)
+    du = r * _stack6(-su, cu, z, z, z, z)
+    dv = r * _stack6(z, z, -sv, cv, z, z)
+    duu = r * _stack6(-cu, -su, z, z, z, z)
+    duv = np.zeros_like(val)
+    dvv = r * _stack6(z, z, -cv, -sv, z, z)
+    return Jet2(val, du, dv, duu, duv, dvv)
 
 
 def _veronese_bilinear(a, b):
@@ -134,27 +125,24 @@ def _veronese_bilinear(a, b):
     return _stack6(u1, u2, u3, u4, u5, zero)
 
 
-def _veronese_evaluator():
-    def ev(u, v):
-        su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
-        z = np.zeros_like(u)
-        # spherical chart of S^2(sqrt3): v is the polar angle
-        w = SQRT3 * np.stack(np.broadcast_arrays(sv * cu, sv * su, cv), axis=-1)
-        wu = SQRT3 * np.stack(np.broadcast_arrays(-sv * su, sv * cu, z), axis=-1)
-        wv = SQRT3 * np.stack(np.broadcast_arrays(cv * cu, cv * su, -sv), axis=-1)
-        wuu = SQRT3 * np.stack(np.broadcast_arrays(-sv * cu, -sv * su, z), axis=-1)
-        wuv = SQRT3 * np.stack(np.broadcast_arrays(-cv * su, cv * cu, z), axis=-1)
-        wvv = SQRT3 * np.stack(np.broadcast_arrays(-sv * cu, -sv * su, -cv), axis=-1)
-        q = _veronese_bilinear
-        val = q(w, w)
-        du = 2.0 * q(w, wu)
-        dv = 2.0 * q(w, wv)
-        duu = 2.0 * (q(wu, wu) + q(w, wuu))
-        duv = 2.0 * (q(wu, wv) + q(w, wuv))
-        dvv = 2.0 * (q(wv, wv) + q(w, wvv))
-        return Jet2(val, du, dv, duu, duv, dvv)
-
-    return ev
+def _veronese_jet(u, v):
+    su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
+    z = np.zeros_like(u)
+    # spherical chart of S^2(sqrt3): v is the polar angle
+    w = SQRT3 * np.stack(np.broadcast_arrays(sv * cu, sv * su, cv), axis=-1)
+    wu = SQRT3 * np.stack(np.broadcast_arrays(-sv * su, sv * cu, z), axis=-1)
+    wv = SQRT3 * np.stack(np.broadcast_arrays(cv * cu, cv * su, -sv), axis=-1)
+    wuu = SQRT3 * np.stack(np.broadcast_arrays(-sv * cu, -sv * su, z), axis=-1)
+    wuv = SQRT3 * np.stack(np.broadcast_arrays(-cv * su, cv * cu, z), axis=-1)
+    wvv = SQRT3 * np.stack(np.broadcast_arrays(-sv * cu, -sv * su, -cv), axis=-1)
+    q = _veronese_bilinear
+    val = q(w, w)
+    du = 2.0 * q(w, wu)
+    dv = 2.0 * q(w, wv)
+    duu = 2.0 * (q(wu, wu) + q(w, wuu))
+    duv = 2.0 * (q(wu, wv) + q(w, wuv))
+    dvv = 2.0 * (q(wv, wv) + q(w, wvv))
+    return Jet2(val, du, dv, duu, duv, dvv)
 
 
 TWO_PI = 2.0 * np.pi
@@ -181,21 +169,21 @@ def catalog(name, theta=0.0):
     if key == "equatorial_legendrian_sphere":
         return Immersion(
             name="equatorial_legendrian_sphere",
-            evaluator=_equatorial_sphere_evaluator(),
+            evaluator=_equatorial_sphere_jet,
             periodic=(True, False),
             domain=((0.0, TWO_PI), (-1.3, 1.3)),
         )
     if key == "clifford_s3":
         return Immersion(
             name="clifford_s3",
-            evaluator=_clifford_evaluator(),
+            evaluator=_clifford_jet,
             periodic=(True, True),
             domain=((0.0, TWO_PI), (0.0, TWO_PI)),
         )
     if key == "veronese_s4":
         return Immersion(
             name="veronese_s4",
-            evaluator=_veronese_evaluator(),
+            evaluator=_veronese_jet,
             periodic=(True, False),
             domain=((0.0, TWO_PI), (0.3, np.pi - 0.3)),
         )
@@ -378,27 +366,12 @@ class QuadraticContactHamiltonian:
 
 def _pair_quadratic(i, j, kind):
     """Symmetric matrix of Re(z_i z_j) or Im(z_i z_j) as a form on R^6."""
-    m = np.zeros((6, 6))
-    xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
-    if i == j:
-        if kind == "re":  # x^2 - y^2
-            m[xi, xi] = 1.0
-            m[yi, yi] = -1.0
-        else:  # 2 x y
-            m[xi, yi] = 1.0
-            m[yi, xi] = 1.0
-        return m
+    xi, yi, xj, yj = np.eye(6)[[2 * i, 2 * i + 1, 2 * j, 2 * j + 1]]
     if kind == "re":  # x_i x_j - y_i y_j
-        m[xi, xj] += 0.5
-        m[xj, xi] += 0.5
-        m[yi, yj] -= 0.5
-        m[yj, yi] -= 0.5
+        a = np.outer(xi, xj) - np.outer(yi, yj)
     else:  # x_i y_j + y_i x_j
-        m[xi, yj] += 0.5
-        m[yj, xi] += 0.5
-        m[yi, xj] += 0.5
-        m[xj, yi] += 0.5
-    return m
+        a = np.outer(xi, yj) + np.outer(yi, xj)
+    return 0.5 * (a + a.T)
 
 
 # Restricted to the torus, z_i z_j quadratics excite parameter waves
@@ -410,33 +383,32 @@ _STABLE_PAIRS = [(0, 0), (1, 1), (2, 2)]
 _GENERIC_PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
-def random_contact_hamiltonian(eps, seed=0, mode="stable", reference=None):
+def random_contact_hamiltonian(eps, seed=0, mode="stable"):
     """Random non-isometric quadratic Hamiltonian scaled to max |f| = eps.
 
     mode "stable" draws from the z_k^2 family (perturbations the area flow
     contracts back to the torus); "generic" adds the mixed z_i z_j pairs,
     which include the torus's Legendrian-unstable directions and are meant
-    for identity/residual tests, not for flow starts.  The scaling
-    reference defaults to the unperturbed torus grid.
+    for identity/residual tests, not for flow starts.  The scale is taken
+    on the unperturbed N = 32 torus grid.
     """
     rng = np.random.default_rng(seed)
     pairs = _STABLE_PAIRS if mode == "stable" else _STABLE_PAIRS + _GENERIC_PAIRS
     basis = [_pair_quadratic(i, j, kind) for (i, j) in pairs for kind in ("re", "im")]
     coeffs = rng.standard_normal(len(basis))
     m = sum(c * b for c, b in zip(coeffs, basis))
-    if reference is None:
-        reference = resample_to_grid(catalog("legendrian_torus"), 32, "fd4").positions
+    reference = resample_to_grid(catalog("legendrian_torus"), 32, "fd4").positions
     scale = float(np.max(np.abs(np.einsum("...i,ij,...j->...", reference, m, reference))))
     if scale == 0.0:
         raise ValueError("degenerate Hamiltonian draw")
     return QuadraticContactHamiltonian(matrix=(eps / scale) * m)
 
 
-def flow_ambient(positions, hamiltonian, time=1.0, steps=40):
-    """Classical RK4 on dq/dt = V(q), applied node by node."""
+def flow_ambient(positions, hamiltonian):
+    """Classical RK4 on dq/dt = V(q) over unit time, applied node by node."""
     q = np.asarray(positions, dtype=float).copy()
-    h = time / steps
-    for _ in range(steps):
+    h = 1.0 / RK4_STEPS
+    for _ in range(RK4_STEPS):
         k1 = hamiltonian.field(q)
         k2 = hamiltonian.field(q + 0.5 * h * k1)
         k3 = hamiltonian.field(q + 0.5 * h * k2)
@@ -446,17 +418,17 @@ def flow_ambient(positions, hamiltonian, time=1.0, steps=40):
 
 
 def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
-                    mode="stable", time=1.0, steps=40) -> GridSurface:
+                    mode="stable") -> GridSurface:
     """Legendrian torus pushed along a seeded ambient contact flow.
 
     All resolutions sample the same smooth surface, so grid-refinement
     studies see pure discretization error; the Legendrian residual is the
-    RK4 integration error (~1e-12 at the defaults).  See
+    RK4 integration error (~1e-12).  See
     random_contact_hamiltonian for the stable/generic distinction.
     """
     base = resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
     if eps == 0.0:
         return base
     ham = random_contact_hamiltonian(eps, seed=seed, mode=mode)
-    pos = flow_ambient(base.positions, ham, time=time, steps=steps)
+    pos = flow_ambient(base.positions, ham)
     return GridSurface(positions=pos, scheme=scheme)

@@ -22,11 +22,8 @@ def _fmt(value):
 class Report:
     """Insertion-ordered flat map of numbers, flags and labels."""
 
-    def __init__(self, items=None):
+    def __init__(self):
         self._items = {}
-        if items:
-            for k, v in items.items():
-                self.set(k, v)
 
     def set(self, key, value):
         if isinstance(value, (bool, int, str)) or value is None:
@@ -35,17 +32,11 @@ class Report:
             self._items[key] = float(value)
         return self
 
-    def get(self, key, default=None):
-        return self._items.get(key, default)
-
-    def __contains__(self, key):
-        return key in self._items
+    def get(self, key):
+        return self._items.get(key)
 
     def __getitem__(self, key):
         return self._items[key]
-
-    def items(self):
-        return self._items.items()
 
     def to_text(self):
         lines = [f"{k} = {_fmt(v)}" for k, v in self._items.items()]
@@ -54,9 +45,11 @@ class Report:
     def to_json(self):
         return json.dumps(self._items, sort_keys=True, indent=2) + "\n"
 
-    def write(self, outdir, basename="report"):
+    def write(self, outdir):
+        """Write report.txt and report.json into outdir; return the JSON path."""
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"{basename}.txt").write_text(self.to_text())
-        (outdir / f"{basename}.json").write_text(self.to_json())
-        return outdir / f"{basename}.json"
+        (outdir / "report.txt").write_text(self.to_text())
+        path = outdir / "report.json"
+        path.write_text(self.to_json())
+        return path

@@ -146,7 +146,7 @@ def test_flow_csv_byte_identical_across_runs(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--grid", "6"], "--grid must be even"),
     (["verify", "--grid", "514"], "--grid must be even"),
-    (["integrals", "--tol", "0"], "--tol must be positive"),
+    (["flow", "--tol", "0"], "--tol must be positive"),
     (["flow", "--tau0", "-1"], "--tau0 must be positive"),
     (["verify", "--epsilon", "-1"], "--epsilon must be nonnegative"),
     (["integrals", "--epsilon", "0.02", "--surface", "clifford-s3"],
@@ -158,6 +158,9 @@ def test_flow_csv_byte_identical_across_runs(tmp_path):
     (["flow", "--grid", "16", "--tau0", "nan", "--epsilon", "0.02"], "--tau0 must be finite"),
     (["verify", "--grid", "16", "--theta", "nan"], "--theta must be finite"),
     (["integrals", "--epsilon", "inf"], "--epsilon must be finite"),
+    (["verify", "--surface", "clifford-s3", "--theta", "1.0"],
+     "--theta applies to the legendrian-torus family only"),
+    (["integrals", "--tol", "1e-3"], "unrecognized arguments"),
 ])
 def test_usage_errors_exit_2_without_reports(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:

@@ -108,10 +108,10 @@ def test_second_variation_spectrum_of_flat_torus(geometry_cache):
 def test_descent_potential_is_positive_multiplier():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((32, 32))
-    smoothed = flow.descent_potential(f, gamma=0.02)
+    smoothed = flow.descent_potential(f)
     # SPD-psd multiplier: nonnegative pairing with the input
     assert float(np.sum(f * smoothed)) > 0
-    mult = flow.torus_jacobi_multiplier(32, 0.02)
+    mult = flow.torus_jacobi_multiplier(32)
     assert np.all(mult >= 0.0)
     assert mult[0, 0] == 1.0
     # saddle directions removed

@@ -4,7 +4,8 @@ The spectral flows sit at the roundoff floor, so the explicit 2x2 sums
 in extrinsic_data, derived_geometry and _generic_normals must give the
 same bits as the general contractions, not merely close values, and the
 shared connection-Laplacian loop must give the same bits as the two
-loops it merges.
+loops it merges.  The same holds for the scalar operators and the
+Hamiltonian basis matrices rewritten without changing their arithmetic.
 """
 
 import numpy as np
@@ -112,6 +113,45 @@ def _reference_omega_commutation(v, geo):
     return lhs - grid_ops.omega_contraction(lap, geo), discrepancy
 
 
+def _reference_laplace_beltrami(f, geo):
+    """Each first derivative of f taken twice, as laplace_beltrami once did."""
+    sg = geo.data.sqrt_det_g
+    flux_u = sg * (geo.data.ginv[..., 0, 0] * geo.d(f, 0) + geo.data.ginv[..., 0, 1] * geo.d(f, 1))
+    flux_v = sg * (geo.data.ginv[..., 1, 0] * geo.d(f, 0) + geo.data.ginv[..., 1, 1] * geo.d(f, 1))
+    return (geo.d(flux_u, 0) + geo.d(flux_v, 1)) / sg
+
+
+def _reference_codifferential(theta, geo):
+    sg = geo.data.sqrt_det_g
+    up = np.einsum("...ab,...b->...a", geo.data.ginv, theta)
+    return -(geo.d(sg * up[..., 0], 0) + geo.d(sg * up[..., 1], 1)) / sg
+
+
+def _reference_pair_quadratic(i, j, kind):
+    """Re/Im(z_i z_j) built entry by entry."""
+    m = np.zeros((6, 6))
+    xi, yi, xj, yj = 2 * i, 2 * i + 1, 2 * j, 2 * j + 1
+    if i == j:
+        if kind == "re":  # x^2 - y^2
+            m[xi, xi] = 1.0
+            m[yi, yi] = -1.0
+        else:  # 2 x y
+            m[xi, yi] = 1.0
+            m[yi, xi] = 1.0
+        return m
+    if kind == "re":  # x_i x_j - y_i y_j
+        m[xi, xj] += 0.5
+        m[xj, xi] += 0.5
+        m[yi, yj] -= 0.5
+        m[yj, yi] -= 0.5
+    else:  # x_i y_j + y_i x_j
+        m[xi, yj] += 0.5
+        m[yj, xi] += 0.5
+        m[yi, xj] += 0.5
+        m[xj, yi] += 0.5
+    return m
+
+
 @pytest.fixture(scope="module")
 def flowed_geo():
     """Two spectral N=16 flow steps: the frame has turned generic."""
@@ -203,8 +243,8 @@ def test_connection_laplacians_match_their_double_loops(case, geometry_cache, fl
 
 
 def test_cached_fourier_multipliers_are_read_only():
-    mult = flow.torus_jacobi_multiplier(16, 0.02)
-    assert mult is flow.torus_jacobi_multiplier(16, 0.02)
+    mult = flow.torus_jacobi_multiplier(16)
+    assert mult is flow.torus_jacobi_multiplier(16)
     with pytest.raises(ValueError):
         mult[0, 0] = 2.0
     with pytest.raises(ValueError):
@@ -224,3 +264,36 @@ def test_spectral_deriv_unchanged_by_multiplier_cache():
             expected = np.fft.ifft(np.fft.fft(f, axis=axis) * ((1j * k) ** order).reshape(shape),
                                    axis=axis).real
             assert np.array_equal(grids.deriv(f, axis, "spectral", order), expected)
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_laplace_beltrami_takes_each_first_derivative_once(scheme, geometry_cache, monkeypatch):
+    geo = geometry_cache("torus", 32, scheme, eps=0.02)
+    uu, vv = grids.grid_nodes(32)
+    f = np.cos(uu) * np.sin(2 * vv) + 0.3 * np.sin(uu - vv)
+    expected = _reference_laplace_beltrami(f, geo)
+    calls = []
+    deriv = grids.deriv
+    monkeypatch.setattr(grids, "deriv", lambda *args, **kw: calls.append(1) or deriv(*args, **kw))
+    got = grid_ops.laplace_beltrami(f, geo)
+    assert len(calls) == 4
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_codifferential_matches_its_expanded_divergence(scheme, geometry_cache):
+    geo = geometry_cache("torus", 32, scheme, eps=0.02)
+    uu, vv = grids.grid_nodes(32)
+    theta = np.stack([np.cos(uu + vv), np.sin(uu - 2 * vv)], axis=-1)
+    assert np.array_equal(grid_ops.codifferential(theta, geo),
+                          _reference_codifferential(theta, geo))
+
+
+def test_pair_quadratic_matches_index_construction():
+    pairs = immersions._STABLE_PAIRS + immersions._GENERIC_PAIRS
+    for i, j in pairs:
+        for kind in ("re", "im"):
+            got = immersions._pair_quadratic(i, j, kind)
+            expected = _reference_pair_quadratic(i, j, kind)
+            # through the integer view, +0.0 and -0.0 differ
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (i, j, kind)

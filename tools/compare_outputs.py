@@ -29,14 +29,18 @@ HERE = Path(__file__).resolve().parent.parent
 OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # ops outside the workloads: the fd2 flow; the fd4 N=16 flow, which aborts
 # on the JH tangency error and so compares the error path; generic
-# (non-Legendrian) frames on the integrals and non-torus verify paths; and
-# the integrals of a theta-shifted torus
+# (non-Legendrian) frames on the integrals and non-torus verify paths; the
+# integrals of a theta-shifted torus; the equatorial sphere, the one
+# catalog surface no other op runs; and a flow with a non-default tau0
+# that stops at max_steps
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
     ("integrals", ("--surface", "clifford-s3", "--grid", "32")),
     ("verify", ("--surface", "veronese-s4", "--grid", "32")),
     ("integrals", ("--epsilon", "0.02", "--theta", "1.0")),
+    ("verify", ("--surface", "equatorial-legendrian-sphere", "--grid", "32")),
+    ("flow", ("--epsilon", "0.02", "--grid", "16", "--tau0", "0.05", "--max-steps", "3")),
 )
 CHILD = """
 import sys
