@@ -45,6 +45,14 @@ STEP_CAP = 2e-3  # largest node displacement of one step
 DIV_JH_FLOOR = 1e-10  # absolute stationarity target of run_flow
 
 
+class FlowAbort(ValueError):
+    """A surface failed the flow's Legendrian guards; reason is its stop_reason."""
+
+    def __init__(self, reason, message):
+        super().__init__(message)
+        self.reason = reason
+
+
 def area_of_positions(positions, scheme):
     """Area of a repositioned grid without building full geometry."""
     xu = grids.deriv(positions, 0, scheme)
@@ -109,6 +117,7 @@ class FlowState:
 
     geo and div_JH are built once per accepted surface, for its
     diagnostics, and read again by the next flow_step and the final report.
+    Every field describes the last surface whose diagnostics passed.
     """
 
     surface: GridSurface
@@ -118,8 +127,9 @@ class FlowState:
     tau: float = DEFAULT_TAU0
     tau0: float = DEFAULT_TAU0
     area_history: list = field(default_factory=list)
-    residual_history: list = field(default_factory=list)  # (divJH_l2, leg_res, el_sup)
+    residual_history: list = field(default_factory=list)  # (divJH_l2, leg_res, frame)
     tau_history: list = field(default_factory=list)
+    halvings_history: list = field(default_factory=list)
     stalled: bool = False
 
     @property
@@ -127,22 +137,33 @@ class FlowState:
         return self.area_history[-1]
 
 
-def _diagnostics(geo: grid_ops.DerivedGeometry):
-    div, _ = grid_ops.div_JH(geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT)
-    div_l2 = float(np.sqrt(grid_ops.quadrature(div**2, geo)))
+def _check_drift(geo: grid_ops.DerivedGeometry, step):
     leg = float(np.max(geo.data.legendrian_residual))
-    el = float(np.max(contact.norm(grid_ops.el_residual(
-        geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT))))
-    return div, div_l2, leg, el
+    if not leg <= FLOW_LEGENDRIAN_ABORT:
+        raise FlowAbort("legendrian abort",
+                        f"Legendrian residual {leg:.3e} exceeded abort threshold "
+                        f"{FLOW_LEGENDRIAN_ABORT:.1e} at step {step}")
+    return leg
+
+
+def _diagnostics(geo: grid_ops.DerivedGeometry, step):
+    leg = _check_drift(geo, step)
+    try:
+        div, _ = grid_ops.div_JH(geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT)
+    except ValueError as exc:  # the drift passed, so only the tangency guard is left
+        raise FlowAbort("JH tangency abort", str(exc)) from exc
+    div_l2 = float(np.sqrt(grid_ops.quadrature(div**2, geo)))
+    frame = "legendrian" if geo.frame.legendrian else "generic"
+    return div, (div_l2, leg, frame)
 
 
 def start_flow(surface: GridSurface, tau0=DEFAULT_TAU0) -> FlowState:
     geo = grid_ops.derived_geometry(surface)
     geo.check_legendrian(tol=1e-6, what="flow start")
-    div, div_l2, leg, el = _diagnostics(geo)
+    div, residuals = _diagnostics(geo, 0)
     state = FlowState(surface=surface, geo=geo, div_JH=div, tau=tau0, tau0=tau0)
     state.area_history.append(grid_ops.surface_area(geo))
-    state.residual_history.append((div_l2, leg, el))
+    state.residual_history.append(residuals)
     return state
 
 
@@ -151,27 +172,25 @@ def flow_step(state: FlowState) -> FlowState:
 
     Rejected trials never enter the histories; tau regrows by 1.5x
     (capped at tau0) after acceptance so one stiff rejection does not pin
-    the flow at a tiny step forever.  A stalled step leaves the surface,
-    its geometry and the histories untouched.
+    the flow at a tiny step forever.  A stalled step, or one with no
+    descent direction, leaves the surface, its geometry and the histories
+    untouched.  So does a FlowAbort: the state changes only after the
+    accepted surface's diagnostics pass.
     """
-    leg = float(np.max(state.geo.data.legendrian_residual))
-    if not leg <= FLOW_LEGENDRIAN_ABORT:
-        raise ValueError(
-            f"Legendrian residual {leg:.3e} exceeded abort threshold "
-            f"{FLOW_LEGENDRIAN_ABORT:.1e} at step {state.step_index}"
-        )
+    _check_drift(state.geo, state.step_index)
     f = descent_potential(state.div_JH)
     p = state.surface.positions
     scheme = state.surface.scheme
     v1 = variation_field_on_positions(p, f, scheme)
     vmax = float(np.max(contact.norm(v1)))
     if vmax == 0.0:
+        state.stalled = True
         return state
 
     area = state.area
     tau = min(state.tau, STEP_CAP / vmax)
     accepted = None
-    for _ in range(MAX_HALVINGS + 1):
+    for halvings in range(MAX_HALVINGS + 1):
         if tau < TAU_UNDERFLOW:
             break
         half = contact.normalize(p + 0.5 * tau * v1)
@@ -184,14 +203,16 @@ def flow_step(state: FlowState) -> FlowState:
         state.stalled = True
         return state
 
-    state.surface = state.surface.with_positions(accepted)
+    surface = state.surface.with_positions(accepted)
+    geo = grid_ops.derived_geometry(surface)
+    div, residuals = _diagnostics(geo, state.step_index + 1)
+    state.surface, state.geo, state.div_JH = surface, geo, div
     state.step_index += 1
     state.tau = min(tau * 1.5, state.tau0)
-    state.geo = grid_ops.derived_geometry(state.surface)
-    state.div_JH, div_l2, leg, el = _diagnostics(state.geo)
-    state.area_history.append(grid_ops.surface_area(state.geo))
-    state.residual_history.append((div_l2, leg, el))
+    state.area_history.append(grid_ops.surface_area(geo))
+    state.residual_history.append(residuals)
     state.tau_history.append(tau)
+    state.halvings_history.append(halvings)
     return state
 
 
@@ -200,11 +221,12 @@ def write_flow_csv(state: FlowState, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "tau", "area", "div_JH_l2", "legendrian_residual",
-                         "el_residual_sup"])
+                         "halvings", "frame"])
         for i in range(1, len(state.area_history)):
-            div_l2, leg, el = state.residual_history[i]
+            div_l2, leg, frame = state.residual_history[i]
             writer.writerow([i] + [repr(float(x)) for x in (
-                state.tau_history[i - 1], state.area_history[i], div_l2, leg, el)])
+                state.tau_history[i - 1], state.area_history[i], div_l2, leg)]
+                + [state.halvings_history[i - 1], frame])
 
 
 @dataclass
@@ -221,9 +243,10 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEP
 
     Inputs already stationary at the absolute floor terminate at step 0
     (a purely relative target would chase roundoff).  The final report
-    carries the stationarity certificates of the limit: the
-    Euler-Lagrange residual, the comparison integrals I1/I2 and the
-    integral-identity residual E.
+    says why the flow stopped (stop_reason) and carries the stationarity
+    certificates of the last accepted surface: the Euler-Lagrange
+    residual, the comparison integrals I1/I2 and the integral-identity
+    residual E.
     """
     if not (tol > 0 and tau0 > 0):
         raise ValueError("tol and tau0 must be positive")
@@ -231,32 +254,34 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEP
     initial_div = state.residual_history[0][0]
     target = max(tol * initial_div, DIV_JH_FLOOR)
     converged = initial_div <= target
-    error = None
+    error = stop_reason = None
     while not converged and state.step_index < max_steps and not state.stalled:
-        before = state.step_index
         try:
             flow_step(state)
-        except ValueError as exc:  # Legendrian abort: keep histories intact
-            error = str(exc)
-            break
-        if state.step_index == before:  # stalled or exactly stationary
+        except FlowAbort as exc:  # the state keeps the last accepted surface
+            error, stop_reason = str(exc), exc.reason
             break
         if state.residual_history[-1][0] <= target:
             converged = True
+    if stop_reason is None:
+        stop_reason = ("converged" if converged else "stalled" if state.stalled
+                       else "max_steps")
 
     integrals = grid_ops.integral_report(state.geo)
+    el = grid_ops.el_residual(state.geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT)
     rep = Report()
     rep.set("steps", state.step_index)
     rep.set("converged", bool(converged))
     rep.set("stalled", bool(state.stalled))
     rep.set("error", error)
+    rep.set("stop_reason", stop_reason)
     rep.set("initial_area", state.area_history[0])
     rep.set("final_area", state.area_history[-1])
     rep.set("initial_div_JH_l2", initial_div)
     rep.set("final_div_JH_l2", state.residual_history[-1][0])
-    rep.set("final_el_residual_sup", state.residual_history[-1][2])
+    rep.set("final_el_residual_sup", float(np.max(contact.norm(el))))
     rep.set("max_legendrian_residual", max(r[1] for r in state.residual_history))
     rep.set("final_S_max_dev", float(np.max(np.abs(state.geo.data.S - 2.0))))
-    for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
+    for key in ("W", "I1", "I2", "E", "Sigma_Simons"):
         rep.set("final_" + key, integrals.get(key))
     return FlowResult(state=state, converged=converged, report=rep, error=error)

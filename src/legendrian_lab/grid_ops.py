@@ -18,6 +18,7 @@ coframe, ambient/normal vector fields (N, N, 6).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,21 @@ class DerivedGeometry:
     jet: "extrinsic.Jet2"
     frame: extrinsic.AdaptedFrame
     data: extrinsic.ExtrinsicData
-    gamma: np.ndarray  # Christoffel symbols (N, N, 2, 2, 2), gamma[k, i, j]
+
+    @functools.cached_property
+    def gamma(self):
+        """Christoffel symbols (N, N, 2, 2, 2), gamma[k, i, j], built on first read.
+
+        Only the connection Laplacians read them, so flow steps and
+        integral reports never differentiate the metric.
+        """
+        # dg[m, i, j] = D_m g_ij
+        dg = np.stack([self.d(self.data.g, 0), self.d(self.data.g, 1)], axis=-3)
+        # gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+        t = dg + dg.transpose(0, 1, 3, 2, 4) - dg.transpose(0, 1, 3, 4, 2)
+        ginv = self.data.ginv[..., None, None]  # summed over l in order, as 2x2 products
+        return 0.5 * (ginv[..., 0, :, :] * t[..., None, :, :, 0]
+                      + ginv[..., 1, :, :] * t[..., None, :, :, 1])
 
     @property
     def n(self):
@@ -91,16 +106,7 @@ def derived_geometry(surface: GridSurface) -> DerivedGeometry:
     jet = surface.jets()
     frame = extrinsic.adapted_frame(jet)
     data = extrinsic.extrinsic_data(jet, frame)
-
-    s = surface.scheme
-    # dg[m, i, j] = D_m g_ij
-    dg = np.stack([grids.deriv(data.g, 0, s), grids.deriv(data.g, 1, s)], axis=-3)
-    # gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    t = dg + dg.transpose(0, 1, 3, 2, 4) - dg.transpose(0, 1, 3, 4, 2)
-    ginv = data.ginv[..., None, None]  # summed over l in order, as 2x2 products
-    gamma = 0.5 * (ginv[..., 0, :, :] * t[..., None, :, :, 0]
-                   + ginv[..., 1, :, :] * t[..., None, :, :, 1])
-    return DerivedGeometry(surface=surface, jet=jet, frame=frame, data=data, gamma=gamma)
+    return DerivedGeometry(surface=surface, jet=jet, frame=frame, data=data)
 
 
 def quadrature(f, geo: DerivedGeometry):

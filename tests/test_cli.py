@@ -102,7 +102,7 @@ def test_flow_command_converges_and_writes_csv(tmp_path):
     with open(out / "flow.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "tau", "area", "div_JH_l2", "legendrian_residual",
-                       "el_residual_sup"]
+                       "halvings", "frame"]
     assert len(rows) == 1 + rep["steps"]
 
 
@@ -122,6 +122,19 @@ def test_flow_failure_still_writes_reports(tmp_path):
     assert (out / "flow.csv").exists()
     rep = json.loads((out / "report.json").read_text())
     assert rep["converged"] is False
+
+
+def test_flow_abort_reports_its_reason_and_last_accepted_step(tmp_path):
+    out = tmp_path / "fa"
+    code = run_cli(["flow", "--epsilon", "0.02", "--grid", "16", "--scheme", "fd4",
+                    "--out", str(out)])
+    assert code == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["stop_reason"] == "JH tangency abort"
+    with open(out / "flow.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 1 + rep["steps"]
+    assert float(rows[-1][2]) == rep["final_area"]
 
 
 def test_reports_byte_identical_across_runs(tmp_path):

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -224,8 +226,126 @@ def test_flow_csv_schema(tmp_path):
     path = tmp_path / "flow.csv"
     flow.write_flow_csv(result.state, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,tau,area,div_JH_l2,legendrian_residual,el_residual_sup"
+    assert lines[0] == "step,tau,area,div_JH_l2,legendrian_residual,halvings,frame"
     assert len(lines) == 1 + result.report["steps"]
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert all(float(x) > 0 for x in first[1:3])
+
+
+# ---------------------------------------------------------------------------
+# what a flow step pays for
+
+
+def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_path):
+    calls, trials = [], []
+    laplacian, area = grid_ops.normal_laplacian, flow.area_of_positions
+
+    def counted(v, geo, check=True):
+        calls.append(geo)
+        return laplacian(v, geo, check=check)
+
+    def counted_area(positions, scheme):
+        trials.append(positions)
+        return area(positions, scheme)
+
+    monkeypatch.setattr(grid_ops, "normal_laplacian", counted)
+    monkeypatch.setattr(flow, "area_of_positions", counted_area)
+    result = flow.run_flow(_stable_start(n=16), max_steps=5000, tol=1e-4)
+    state, rep = result.state, result.report
+    assert rep["stop_reason"] == "converged" and rep["steps"] > 0
+    assert len(calls) == 1 and calls[0] is state.geo
+    el = grid_ops.el_residual(state.geo, legendrian_tol=flow.FLOW_LEGENDRIAN_ABORT)
+    assert rep["final_el_residual_sup"] == float(np.max(contact.norm(el)))
+    # every trial but the accepted one of each step is a halving
+    halvings = [int(row[5]) for row in _csv_rows(state, tmp_path)]
+    assert sum(halvings) > 0 and len(trials) == rep["steps"] + sum(halvings)
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_derived_geometry_differentiates_the_metric_only_when_gamma_is_read(
+        scheme, monkeypatch):
+    state = flow.start_flow(immersions.perturbed_torus(eps=0.02, n=16, scheme=scheme,
+                                                       seed=0, mode="stable"))
+    surface = flow.flow_step(state).surface
+    calls = []
+    deriv = grids.deriv
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return deriv(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "deriv", counted)
+    surface.jets()
+    jets = len(calls)
+    geo = grid_ops.derived_geometry(surface)
+    assert len(calls) == 2 * jets
+    gamma = geo.gamma
+    assert len(calls) == 2 * jets + 2
+    assert geo.gamma is gamma
+    assert len(calls) == 2 * jets + 2
+
+
+# ---------------------------------------------------------------------------
+# why a flow stops
+
+
+def _fd4_abort_start():
+    return immersions.perturbed_torus(eps=0.02, n=16, scheme="fd4", seed=0, mode="stable")
+
+
+def _csv_rows(state, tmp_path):
+    path = tmp_path / "flow.csv"
+    flow.write_flow_csv(state, path)
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def _assert_reports_last_accepted_surface(result, tmp_path):
+    state, rep = result.state, result.report
+    rows = _csv_rows(state, tmp_path)
+    assert rep["steps"] == len(rows) == state.step_index
+    if rows:
+        assert rep["final_area"] == float(rows[-1][2])
+        assert rep["final_div_JH_l2"] == float(rows[-1][3])
+    fresh = grid_ops.derived_geometry(state.surface)
+    integrals = grid_ops.integral_report(fresh)
+    for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
+        assert rep["final_" + key] == integrals.get(key)
+    assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
+
+
+def test_stop_reason_stalled_when_every_trial_underflows():
+    rep = flow.run_flow(_stable_start(n=16), tau0=1e-13).report
+    assert rep["stalled"] and not rep["converged"]
+    assert rep["stop_reason"] == "stalled" and rep["steps"] == 0
+
+
+def test_stop_reason_max_steps(tmp_path):
+    result = flow.run_flow(_stable_start(n=16), max_steps=2)
+    rep = result.report
+    assert rep["stop_reason"] == "max_steps" and rep["error"] is None
+    assert not rep["stalled"] and not rep["converged"]
+    _assert_reports_last_accepted_surface(result, tmp_path)
+
+
+def test_jh_tangency_abort_reports_the_last_accepted_surface(tmp_path):
+    result = flow.run_flow(_fd4_abort_start())
+    rep = result.report
+    assert rep["stop_reason"] == "JH tangency abort"
+    assert rep["error"].startswith("JH tangency error")
+    assert rep["steps"] > 0 and not rep["converged"]
+    _assert_reports_last_accepted_surface(result, tmp_path)
+    assert [row[6] for row in _csv_rows(result.state, tmp_path)] == ["generic"] * rep["steps"]
+
+
+def test_legendrian_abort_reports_the_last_accepted_surface(monkeypatch, tmp_path):
+    # the fd4 N=16 flow drifts by ~6e-5 per step: a 1e-4 threshold
+    # accepts step 1 and aborts on the drift of the step-2 trial
+    monkeypatch.setattr(flow, "FLOW_LEGENDRIAN_ABORT", 1e-4)
+    result = flow.run_flow(_fd4_abort_start())
+    rep = result.report
+    assert rep["stop_reason"] == "legendrian abort"
+    assert "exceeded abort threshold 1.0e-04 at step 2" in rep["error"]
+    assert rep["steps"] == 1
+    _assert_reports_last_accepted_surface(result, tmp_path)
