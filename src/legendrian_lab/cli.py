@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import extrinsic, flow, grid_ops, grids, immersions
-from .contact import sasakian_identity_residuals
+from .contact import random_sphere_points, random_tangent, sasakian_identity_residuals
 from .report import Report
 
 SURFACES = tuple(name.replace("_", "-") for name in immersions.CATALOG_NAMES)
@@ -143,12 +143,9 @@ def _pointwise_suite(args, rep, failures):
         _record(rep, failures, "alpha_u_dev", au, au <= 1e-12)
 
     # structure identities of the ambient sphere at random points
-    p = rng.standard_normal((1000, 6))
-    p /= np.linalg.norm(p, axis=-1, keepdims=True)
-    x = rng.standard_normal((1000, 6))
-    y = rng.standard_normal((1000, 6))
-    x -= np.einsum("ij,ij->i", x, p)[:, None] * p
-    y -= np.einsum("ij,ij->i", y, p)[:, None] * p
+    p = random_sphere_points(1000, rng)
+    x = random_tangent(p, rng)
+    y = random_tangent(p, rng)
     r1, r2 = sasakian_identity_residuals(p, x, y)
     worst = float(max(np.max(r1), np.max(r2)))
     _record(rep, failures, "sasakian_residual_max", worst, worst <= 1e-10)

@@ -150,9 +150,9 @@ def sasakian_identity_residuals(p, x, y):
 
 
 def random_sphere_points(n, rng):
-    """n uniform points on S^5 (for test suites)."""
+    """n uniform points on S^5."""
     p = rng.standard_normal((n, 6))
-    return normalize(p)
+    return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
 def random_tangent(p, rng):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import contact
 from .contact import dot, j_apply, norm
-from .immersions import Jet2
+from .immersions import Jet2, first_fundamental_form
 
 LEGENDRIAN_FRAME_TOL = 1e-8
 GRAM_DET_TOL = 1e-12
@@ -109,10 +109,7 @@ def adapted_frame(jet: Jet2, legendrian_tol=LEGENDRIAN_FRAME_TOL) -> AdaptedFram
     # five-frame is orthogonal to the position at working precision
     xu = jet.du - dot(jet.du, p)[..., None] * p
     xv = jet.dv - dot(jet.dv, p)[..., None] * p
-    g11 = dot(xu, xu)
-    g12 = dot(xu, xv)
-    g22 = dot(xv, xv)
-    gram = g11 * g22 - g12**2
+    g11, g12, g22, gram = first_fundamental_form(xu, xv)
     if not np.min(gram) >= GRAM_DET_TOL:
         raise ValueError(
             f"degenerate or non-finite induced metric: Gram determinant {np.min(gram):.3e}"
@@ -168,17 +165,12 @@ class ExtrinsicData:
 def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     """Second fundamental form and scalar invariants in the given frame."""
     p = jet.value
-    g = np.zeros(p.shape[:-1] + (2, 2))
-    g[..., 0, 0] = dot(jet.du, jet.du)
-    g[..., 0, 1] = g[..., 1, 0] = dot(jet.du, jet.dv)
-    g[..., 1, 1] = dot(jet.dv, jet.dv)
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
+    E, F, G, det = first_fundamental_form(jet.du, jet.dv)
     if not np.min(det) >= GRAM_DET_TOL:
         raise ValueError(f"degenerate or non-finite induced metric: det g = {np.min(det):.3e}")
-    ginv = np.empty_like(g)
-    ginv[..., 0, 0] = g[..., 1, 1] / det
-    ginv[..., 1, 1] = g[..., 0, 0] / det
-    ginv[..., 0, 1] = ginv[..., 1, 0] = -g[..., 0, 1] / det
+    g = np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
+    ginv = np.stack([np.stack([G, -F], axis=-1), np.stack([-F, E], axis=-1)], axis=-2)
+    ginv /= det[..., None, None]
 
     B = {}  # coordinate components B_ij
     for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv)):

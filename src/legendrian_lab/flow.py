@@ -31,7 +31,7 @@ import numpy as np
 
 from . import contact, grid_ops, grids
 from .contact import dot
-from .immersions import GridSurface, variation_field_on_positions
+from .immersions import GridSurface, first_fundamental_form, variation_field_on_positions
 from .report import Report
 
 FLOW_LEGENDRIAN_ABORT = 1e-3
@@ -57,7 +57,7 @@ def area_of_positions(positions, scheme):
     """Area of a repositioned grid without building full geometry."""
     xu = grids.deriv(positions, 0, scheme)
     xv = grids.deriv(positions, 1, scheme)
-    det = dot(xu, xu) * dot(xv, xv) - dot(xu, xv) ** 2
+    *_, det = first_fundamental_form(xu, xv)
     n = positions.shape[0]
     return float(np.sum(np.sqrt(det)) * grids.cell_area(n))
 

@@ -1,10 +1,9 @@
 """Global differential operators on doubly periodic grid surfaces.
 
 Built on per-node extrinsic data, this module provides the
-Laplace-Beltrami operator, the normal-bundle connection Laplacian, the
-rough and Hodge Laplacians on one-forms, metric divergence, and the
-residuals/integrals that certify the structure identities of Legendrian
-surface geometry in S^5.
+normal-bundle connection Laplacian, the rough and Hodge Laplacians on
+one-forms, metric divergence, and the residuals/integrals that certify
+the structure identities of Legendrian surface geometry in S^5.
 
 Sign conventions, fixed once: the scalar and rough Laplacians have
 negative spectrum (Delta cos = -lambda cos); the Hodge Laplacian
@@ -118,16 +117,6 @@ def surface_area(geo: DerivedGeometry):
     return quadrature(np.ones((geo.n, geo.n)), geo)
 
 
-def laplace_beltrami(f, geo: DerivedGeometry):
-    """(1/sqrt g) d_i (sqrt g g^{ij} d_j f); negative spectrum."""
-    f = np.asarray(f, dtype=float)
-    sg = geo.data.sqrt_det_g
-    fu, fv = geo.d(f, 0), geo.d(f, 1)
-    flux_u = sg * (geo.data.ginv[..., 0, 0] * fu + geo.data.ginv[..., 0, 1] * fv)
-    flux_v = sg * (geo.data.ginv[..., 1, 0] * fu + geo.data.ginv[..., 1, 1] * fv)
-    return (geo.d(flux_u, 0) + geo.d(flux_v, 1)) / sg
-
-
 def divergence(w_contra, geo: DerivedGeometry):
     """Metric divergence of a tangential field given by contravariant components."""
     sg = geo.data.sqrt_det_g
@@ -234,18 +223,6 @@ def el_residual(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
     geo.check_legendrian(tol=legendrian_tol, what="el_residual")
     h = geo.data.Hvec
     return -normal_laplacian(h, geo, check=False) + geo.data.K[..., None] * h
-
-
-def willmore_residual(geo: DerivedGeometry):
-    """Delta^nu H + Q(A°)H with the trace-free form in flat indices."""
-    h = geo.data.h
-    Hc = geo.data.Hcomp
-    htilde = h - Hc[..., :, None, None] * np.eye(2)
-    q = np.einsum("...aij,...bij->...ab", htilde, htilde)
-    qh = np.einsum("...ab,...b->...a", q, Hc)
-    normals = geo.frame.normals()
-    qvec = sum(qh[..., b, None] * n for b, n in enumerate(normals))
-    return normal_laplacian(geo.data.Hvec, geo, check=False) + qvec
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +505,15 @@ def integral_report(geo: DerivedGeometry) -> Report:
     rep.set("I6", quadrature(d.rho2 * (2.0 - 1.5 * d.rho2), geo))
     rep.set("legendrian_residual", leg_res)
     rep.set("legendrian", bool(legendrian))
+    norms = gradient_norm_decomposition(geo) if legendrian and geo.frame.legendrian else None
     if legendrian:
         # E needs only frame-free projections, so it survives the small
         # drift of flowed grids where the Legendrian frame is not engaged
-        rep.set("E", quadrature(normal_gradient_H_squared(geo), geo)
-                + quadrature(d.K * d.H2, geo))
+        grad_H2 = normal_gradient_H_squared(geo) if norms is None else norms.full_H2
+        rep.set("E", quadrature(grad_H2, geo) + quadrature(d.K * d.H2, geo))
     else:
         rep.set("E", None)
-    if legendrian and geo.frame.legendrian:
-        norms = gradient_norm_decomposition(geo)
+    if norms is not None:
         ident = extrinsic.pointwise_identity_residuals(geo.jet, geo.frame, d)
         simons = (
             norms.full_h2

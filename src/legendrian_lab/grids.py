@@ -89,15 +89,3 @@ def grid_nodes(n):
 def cell_area(n):
     return (LENGTH / n) ** 2
 
-
-def fit_convergence_order(ns, residuals):
-    """Least-squares slope of log(residual) against log(1/N).
-
-    Returns the fitted order p such that residual ~ C N^-p.
-    """
-    ns = np.asarray(ns, dtype=float)
-    res = np.asarray(residuals, dtype=float)
-    if np.any(res <= 0):
-        raise ValueError("residuals must be positive for an order fit")
-    slope = np.polyfit(np.log(ns), np.log(res), 1)[0]
-    return float(-slope)

@@ -206,30 +206,6 @@ def eval_jet2(surface: Immersion, u, v) -> Jet2:
     return surface.evaluator(u, v).validate()
 
 
-def jet_consistency_check(surface: Immersion, u, v, h=1e-4):
-    """Max norm difference between analytic jets and central-difference jets.
-
-    The finite-difference jets are built purely from the value function, so
-    this is an independent oracle for the hand-coded derivatives; the
-    residual is O(h^2).
-    """
-    if not 0.0 < h <= 1e-3:
-        raise ValueError("step h must lie in (0, 1e-3]")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    jet = surface.evaluator(u, v)
-    val = lambda a, b: surface.evaluator(a, b).value
-    du = (val(u + h, v) - val(u - h, v)) / (2 * h)
-    dv = (val(u, v + h) - val(u, v - h)) / (2 * h)
-    duu = (val(u + h, v) - 2 * jet.value + val(u - h, v)) / h**2
-    dvv = (val(u, v + h) - 2 * jet.value + val(u, v - h)) / h**2
-    duv = (val(u + h, v + h) - val(u + h, v - h) - val(u - h, v + h) + val(u - h, v - h)) / (
-        4 * h**2
-    )
-    pairs = [(du, jet.du), (dv, jet.dv), (duu, jet.duu), (duv, jet.duv), (dvv, jet.dvv)]
-    return max(float(np.max(contact.norm(a - b))) for a, b in pairs)
-
-
 @dataclass(frozen=True)
 class GridSurface:
     """N x N doubly periodic sampling of an immersed torus in S^5.
@@ -297,9 +273,12 @@ def save_grid(surface: GridSurface, path):
 def load_grid(path) -> GridSurface:
     with open(path) as fh:
         header = fh.readline().strip()
-        if not header.startswith(GRID_FORMAT_HEADER):
-            raise ValueError(f"not a grid file: header {header!r}")
-        fields = dict(tok.split("=", 1) for tok in header[len(GRID_FORMAT_HEADER):].split())
+        tokens = header.split()
+        fields = dict(tok.split("=", 1) for tok in tokens[3:] if "=" in tok)
+        if (tokens[:3] != GRID_FORMAT_HEADER.split() or len(tokens) != 5
+                or sorted(fields) != ["N", "scheme"] or not fields["N"].isdigit()):
+            raise ValueError(f"not a grid file: header {header!r}, expected "
+                             f"'{GRID_FORMAT_HEADER} N=<int> scheme=<name>'")
         n = int(fields["N"])
         scheme = fields["scheme"]
         data = np.loadtxt(fh, dtype=float)
@@ -309,7 +288,15 @@ def load_grid(path) -> GridSurface:
 
 
 # ---------------------------------------------------------------------------
-# Legendrian variation field
+# Induced metric and Legendrian variation field
+
+
+def first_fundamental_form(xu, xv):
+    """(E, F, G, EG - F^2) of the tangent pair (xu, xv)."""
+    E = contact.dot(xu, xu)
+    F = contact.dot(xu, xv)
+    G = contact.dot(xv, xv)
+    return E, F, G, E * G - F**2
 
 
 def variation_field_on_positions(positions, f, scheme):
@@ -322,10 +309,7 @@ def variation_field_on_positions(positions, f, scheme):
     """
     xu = grids.deriv(positions, 0, scheme)
     xv = grids.deriv(positions, 1, scheme)
-    g11 = contact.dot(xu, xu)
-    g12 = contact.dot(xu, xv)
-    g22 = contact.dot(xv, xv)
-    det = g11 * g22 - g12**2
+    g11, g12, g22, det = first_fundamental_form(xu, xv)
     fu = grids.deriv(f, 0, scheme)
     fv = grids.deriv(f, 1, scheme)
     cu = (g22 * fu - g12 * fv) / det

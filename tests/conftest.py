@@ -7,6 +7,12 @@ A_TORUS = 4 * np.pi**2 / np.sqrt(3)
 A_CLIFFORD = 2 * np.pi**2
 
 
+def fit_convergence_order(ns, residuals):
+    """Least-squares slope p of log(residual) against log(1/N): residual ~ C N^-p."""
+    slope = np.polyfit(np.log(np.asarray(ns, dtype=float)), np.log(residuals), 1)[0]
+    return float(-slope)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from legendrian_lab import cli, contact, extrinsic, flow, grid_ops, grids, immersions
-from tests.conftest import A_TORUS
+from tests.conftest import A_TORUS, fit_convergence_order
 
 
 @contextmanager
@@ -121,7 +121,7 @@ def test_criterion_3_lemma_grid_convergence(geometry_cache):
         for key in packs[0]:
             vals = [p[key] for p in packs]
             assert vals[0] > vals[1] > vals[2], f"{key} not monotone: {vals}"
-            order = grids.fit_convergence_order(ns, vals)
+            order = fit_convergence_order(ns, vals)
             assert order >= 3.5, f"{key} fitted order {order:.2f} < 3.5"
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0, f"convergence suite took {elapsed:.1f} s"

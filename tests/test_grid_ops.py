@@ -2,9 +2,33 @@ import numpy as np
 import pytest
 
 from legendrian_lab import contact, grid_ops, grids, immersions
-from tests.conftest import A_CLIFFORD, A_TORUS
+from tests.conftest import A_CLIFFORD, A_TORUS, fit_convergence_order
 
 REFINE = (16, 32, 64)
+
+
+def laplace_beltrami(f, geo):
+    """(1/sqrt g) d_i (sqrt g g^{ij} d_j f); negative spectrum.
+
+    The scalar Laplacian is an oracle for the connection Laplacians: no
+    command reports it.
+    """
+    sg = geo.data.sqrt_det_g
+    fu, fv = geo.d(f, 0), geo.d(f, 1)
+    flux_u = sg * (geo.data.ginv[..., 0, 0] * fu + geo.data.ginv[..., 0, 1] * fv)
+    flux_v = sg * (geo.data.ginv[..., 1, 0] * fu + geo.data.ginv[..., 1, 1] * fv)
+    return (geo.d(flux_u, 0) + geo.d(flux_v, 1)) / sg
+
+
+def willmore_residual(geo):
+    """Delta^nu H + Q(A°)H, the paper's Willmore equation, in flat indices."""
+    h = geo.data.h
+    Hc = geo.data.Hcomp
+    htilde = h - Hc[..., :, None, None] * np.eye(2)
+    q = np.einsum("...aij,...bij->...ab", htilde, htilde)
+    qh = np.einsum("...ab,...b->...a", q, Hc)
+    qvec = sum(qh[..., b, None] * n for b, n in enumerate(geo.frame.normals()))
+    return grid_ops.normal_laplacian(geo.data.Hvec, geo, check=False) + qvec
 
 
 def _fit(cache, op, scheme="fd4", mode="generic", eps=0.02, seed=0):
@@ -13,7 +37,7 @@ def _fit(cache, op, scheme="fd4", mode="generic", eps=0.02, seed=0):
     for n in REFINE:
         geo = cache("torus", n, scheme, eps=eps, seed=seed, mode=mode)
         values.append(op(geo))
-    order = grids.fit_convergence_order(REFINE, values)
+    order = fit_convergence_order(REFINE, values)
     return values, order
 
 
@@ -62,9 +86,9 @@ def test_quadrature_linearity(geometry_cache):
 
 def test_laplace_beltrami_constants_and_cosine(geometry_cache):
     geo = geometry_cache("torus", 32, "spectral")
-    assert np.max(np.abs(grid_ops.laplace_beltrami(np.ones((32, 32)), geo))) < 1e-12
+    assert np.max(np.abs(laplace_beltrami(np.ones((32, 32)), geo))) < 1e-12
     uu, _ = grids.grid_nodes(32)
-    lap = grid_ops.laplace_beltrami(np.cos(uu), geo)
+    lap = laplace_beltrami(np.cos(uu), geo)
     # g^{uu} = 2 on the torus, so Laplacian of cos u is -2 cos u
     assert np.max(np.abs(lap + 2 * np.cos(uu))) < 1e-12
 
@@ -73,7 +97,7 @@ def test_laplacian_integrates_to_zero_any_field(geometry_cache):
     geo = geometry_cache("torus", 32, "fd4", eps=0.02)
     rng = np.random.default_rng(1)
     f = rng.standard_normal((32, 32))
-    assert abs(grid_ops.quadrature(grid_ops.laplace_beltrami(f, geo), geo)) < 1e-11
+    assert abs(grid_ops.quadrature(laplace_beltrami(f, geo), geo)) < 1e-11
 
 
 def test_divergence_integrates_to_zero(geometry_cache):
@@ -185,12 +209,12 @@ def test_el_residual_zero_on_torus_nonzero_on_perturbed(geometry_cache):
 
 
 def test_willmore_residual_minimal_surfaces(geometry_cache):
-    assert np.max(contact.norm(grid_ops.willmore_residual(
+    assert np.max(contact.norm(willmore_residual(
         geometry_cache("torus", 32, "spectral")))) < 1e-9
-    assert np.max(contact.norm(grid_ops.willmore_residual(
+    assert np.max(contact.norm(willmore_residual(
         geometry_cache("clifford", 32, "spectral")))) < 1e-9
     pert = geometry_cache("torus", 32, "spectral", eps=0.05)
-    assert np.max(contact.norm(grid_ops.willmore_residual(pert))) > 1e-3
+    assert np.max(contact.norm(willmore_residual(pert))) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +289,7 @@ def test_rough_laplacian_commutes_with_d_modulo_curvature(geometry_cache):
         f = np.cos(uu + vv) + 0.5 * np.sin(2 * vv - uu)
         df = np.stack([geo.d(f, 0), geo.d(f, 1)], axis=-1)
         rough = grid_ops.oneform_rough_laplacian(df, geo)
-        lap = grid_ops.laplace_beltrami(f, geo)
+        lap = laplace_beltrami(f, geo)
         dlap = np.stack([geo.d(lap, 0), geo.d(lap, 1)], axis=-1)
         res = rough - dlap - geo.data.K[..., None] * df
         return float(np.max(grid_ops.oneform_norm(res, geo)))
@@ -412,6 +436,18 @@ def test_integrated_simons_identity_on_perturbed(geometry_cache):
     for n, bound in ((32, 1e-3), (64, 1e-4)):
         rep = grid_ops.integral_report(geometry_cache("torus", n, "spectral", eps=0.02))
         assert abs(rep["Sigma_Simons"]) < bound
+
+
+def test_integral_report_takes_normal_gradient_of_H_once(geometry_cache, monkeypatch):
+    geo = geometry_cache("torus", 32, "spectral", eps=0.02)
+    assert geo.frame.legendrian
+    calls = []
+    inner = grid_ops.normal_gradient_H_squared
+    monkeypatch.setattr(grid_ops, "normal_gradient_H_squared",
+                        lambda g: calls.append(1) or inner(g))
+    rep = grid_ops.integral_report(geo)
+    assert len(calls) == 1
+    assert rep["E"] is not None and rep["Sigma_Simons"] is not None
 
 
 def test_veronese_pointwise_comparison_integrand():

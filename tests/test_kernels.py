@@ -113,14 +113,6 @@ def _reference_omega_commutation(v, geo):
     return lhs - grid_ops.omega_contraction(lap, geo), discrepancy
 
 
-def _reference_laplace_beltrami(f, geo):
-    """Each first derivative of f taken twice, as laplace_beltrami once did."""
-    sg = geo.data.sqrt_det_g
-    flux_u = sg * (geo.data.ginv[..., 0, 0] * geo.d(f, 0) + geo.data.ginv[..., 0, 1] * geo.d(f, 1))
-    flux_v = sg * (geo.data.ginv[..., 1, 0] * geo.d(f, 0) + geo.data.ginv[..., 1, 1] * geo.d(f, 1))
-    return (geo.d(flux_u, 0) + geo.d(flux_v, 1)) / sg
-
-
 def _reference_codifferential(theta, geo):
     sg = geo.data.sqrt_det_g
     up = np.einsum("...ab,...b->...a", geo.data.ginv, theta)
@@ -264,20 +256,6 @@ def test_spectral_deriv_unchanged_by_multiplier_cache():
             expected = np.fft.ifft(np.fft.fft(f, axis=axis) * ((1j * k) ** order).reshape(shape),
                                    axis=axis).real
             assert np.array_equal(grids.deriv(f, axis, "spectral", order), expected)
-
-
-@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
-def test_laplace_beltrami_takes_each_first_derivative_once(scheme, geometry_cache, monkeypatch):
-    geo = geometry_cache("torus", 32, scheme, eps=0.02)
-    uu, vv = grids.grid_nodes(32)
-    f = np.cos(uu) * np.sin(2 * vv) + 0.3 * np.sin(uu - vv)
-    expected = _reference_laplace_beltrami(f, geo)
-    calls = []
-    deriv = grids.deriv
-    monkeypatch.setattr(grids, "deriv", lambda *args, **kw: calls.append(1) or deriv(*args, **kw))
-    got = grid_ops.laplace_beltrami(f, geo)
-    assert len(calls) == 4
-    assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("scheme", ["fd4", "spectral"])

@@ -1,7 +1,36 @@
+import ast
+from pathlib import Path
+
 import legendrian_lab
+
+SRC = Path(legendrian_lab.__file__).resolve().parent
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in legendrian_lab.__all__ if not hasattr(legendrian_lab, name)]
     assert missing == []
     assert len(set(legendrian_lab.__all__)) == len(legendrian_lab.__all__)
+
+
+def test_every_public_function_is_exported_or_called_by_the_library():
+    """Library code exists for a command or the public API, not for tests."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}:{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{module}:{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+    unused = [where for where, name in defined
+              if not name.startswith("_") and name not in legendrian_lab.__all__
+              and name not in referenced]
+    assert unused == []
