@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 SPHERE_INPUT_TOL = 1e-9
-SPHERE_OUTPUT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 
 
@@ -151,8 +150,7 @@ def sasakian_identity_residuals(p, x, y):
 
 def random_sphere_points(n, rng):
     """n uniform points on S^5."""
-    p = rng.standard_normal((n, 6))
-    return p / np.linalg.norm(p, axis=-1, keepdims=True)
+    return normalize(rng.standard_normal((n, 6)))
 
 
 def random_tangent(p, rng):

@@ -3,9 +3,9 @@
 The descent potential is f = div(J0 H): among the Legendrian-preserving
 normal deformations V_f = f R + (1/2) J0 grad f, it gives
 dA = -int f^2 <= 0, and its zeros are exactly the contact stationary
-surfaces.  Three numerical safeguards wrap the raw direction; all three
-keep descent intact, none moves the fixed-point set, and the
-stationarity metric ||div JH||_2 is always evaluated on the raw field:
+surfaces.  Four numerical safeguards wrap the raw direction; all four
+keep descent intact, and the stationarity metric ||div JH||_2 is always
+evaluated on the raw field:
 
 * the potential is smoothed with the symmetric positive multiplier
   (1 + gamma Q(lambda))^{-1} in the flat Fourier basis, where
@@ -16,9 +16,18 @@ stationarity metric ||div JH||_2 is always evaluated on the raw field:
   torus's area-lowering Legendrian saddle directions, and descending
   along their roundoff-seeded content runs away from the stationary
   set instead of certifying it;
+* the modes with |k_u| or |k_v| >= N/3 are removed (Orszag's 2/3 rule):
+  there the raw div JH is mostly aliasing, and descending along it
+  costs steps at every N and stalls the flow at N >= 64;
 * each step integrates the frozen-potential deformation with a midpoint
   rule and caps the node displacement, keeping the Legendrian drift per
   step at the integrator order rather than O(tau^2 |V|^2).
+
+The 2/3 cut adds fixed points: surfaces whose raw div JH lies in the cut
+band.  run_flow stops as "under-resolved" when the band part exceeds the
+target while the passband part meets it, or while a stalled line search
+leaves the band holding most of div JH (a stall on a larger passband
+part is the step size's, not the grid's).
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ import numpy as np
 
 from . import contact, grid_ops, grids
 from .contact import dot
-from .immersions import GridSurface, first_fundamental_form, variation_field_on_positions
+from .immersions import (GridSurface, _variation_field, first_fundamental_form,
+                         variation_field_on_positions)
 from .report import Report
 
 FLOW_LEGENDRIAN_ABORT = 1e-3
@@ -75,7 +85,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
         raise ValueError("finite-difference step eps must lie in (0, 1e-2]")
     geo.check_legendrian(what="first_variation_check")
     f = np.asarray(f, dtype=float)
-    v = variation_field_on_positions(geo.jet.value, f, geo.scheme)
+    v = _variation_field(geo.jet.value, geo.jet.du, geo.jet.dv, f, geo.scheme)
 
     geometric = -2.0 * grid_ops.quadrature(dot(geo.data.Hvec, v), geo)
     div, _ = grid_ops.div_JH(geo)
@@ -86,9 +96,15 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
     return geometric, divergence, fd
 
 
+def _aliased_band(n):
+    """Fourier modes cut by the 2/3 rule (J. Atmos. Sci. 28, 1971): |k_u| or |k_v| >= n/3."""
+    cut = np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= n / 3
+    return cut[:, None] | cut[None, :]
+
+
 @functools.lru_cache(maxsize=8)
 def torus_jacobi_multiplier(n):
-    """Fourier multiplier of the smoothed, saddle-filtered descent.
+    """Fourier multiplier of the smoothed, saddle-filtered, dealiased descent.
 
     lambda(m, n) = 2(m^2 - mn + n^2) is the (negative of the) flat-torus
     Laplacian spectrum; Q = lambda(lambda-6)/4 the area Hessian on
@@ -100,15 +116,22 @@ def torus_jacobi_multiplier(n):
     q = lam * (lam - 6.0) / 4.0
     mult = 1.0 / (1.0 + SMOOTHING * np.maximum(q, 0.0))
     mult[(lam > 0.0) & (lam < 6.0)] = 0.0
+    mult[_aliased_band(n)] = 0.0
     mult.setflags(write=False)
     return mult
 
 
 def descent_potential(raw):
-    """Smoothed and saddle-filtered copy of the raw potential div(J0 H)."""
+    """Smoothed, saddle-filtered and dealiased copy of the raw potential div(J0 H)."""
     raw = np.asarray(raw, dtype=float)
     mult = torus_jacobi_multiplier(raw.shape[0])
     return np.fft.ifft2(np.fft.fft2(raw) * mult).real
+
+
+def _band_split(div, geo: grid_ops.DerivedGeometry):
+    """L2 norms of div's 2/3-rule passband and cut-band parts, as div_JH_l2 is taken."""
+    band = np.fft.ifft2(np.fft.fft2(div) * _aliased_band(geo.n)).real
+    return tuple(float(np.sqrt(grid_ops.quadrature(part**2, geo))) for part in (div - band, band))
 
 
 @dataclass
@@ -181,7 +204,7 @@ def flow_step(state: FlowState) -> FlowState:
     f = descent_potential(state.div_JH)
     p = state.surface.positions
     scheme = state.surface.scheme
-    v1 = variation_field_on_positions(p, f, scheme)
+    v1 = _variation_field(p, state.geo.jet.du, state.geo.jet.dv, f, scheme)
     vmax = float(np.max(contact.norm(v1)))
     if vmax == 0.0:
         state.stalled = True
@@ -243,35 +266,37 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEP
 
     Inputs already stationary at the absolute floor terminate at step 0
     (a purely relative target would chase roundoff).  The final report
-    says why the flow stopped (stop_reason) and carries the stationarity
-    certificates of the last accepted surface: the Euler-Lagrange
-    residual, the comparison integrals I1/I2 and the integral-identity
-    residual E.
+    says why the flow stopped (stop_reason, see the module docstring for
+    under-resolved) and carries the stationarity certificates of the last
+    accepted surface: the Euler-Lagrange residual, the comparison
+    integrals I1/I2 and the integral-identity residual E.
     """
     if not (tol > 0 and tau0 > 0):
         raise ValueError("tol and tau0 must be positive")
     state = start_flow(surface, tau0=tau0)
     initial_div = state.residual_history[0][0]
     target = max(tol * initial_div, DIV_JH_FLOOR)
-    converged = initial_div <= target
     error = stop_reason = None
-    while not converged and state.step_index < max_steps and not state.stalled:
-        try:
-            flow_step(state)
-        except FlowAbort as exc:  # the state keeps the last accepted surface
-            error, stop_reason = str(exc), exc.reason
-            break
+    while stop_reason is None:
+        passband, band = _band_split(state.div_JH, state.geo)
         if state.residual_history[-1][0] <= target:
-            converged = True
-    if stop_reason is None:
-        stop_reason = ("converged" if converged else "stalled" if state.stalled
-                       else "max_steps")
+            stop_reason = "converged"
+        elif band > target and (passband <= target or (state.stalled and band >= passband)):
+            stop_reason = "under-resolved"
+        elif state.stalled or state.step_index >= max_steps:
+            stop_reason = "stalled" if state.stalled else "max_steps"
+        else:
+            try:
+                flow_step(state)
+            except FlowAbort as exc:  # the state keeps the last accepted surface
+                error, stop_reason = str(exc), exc.reason
+    converged = stop_reason == "converged"
 
     integrals = grid_ops.integral_report(state.geo)
     el = grid_ops.el_residual(state.geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT)
     rep = Report()
     rep.set("steps", state.step_index)
-    rep.set("converged", bool(converged))
+    rep.set("converged", converged)
     rep.set("stalled", bool(state.stalled))
     rep.set("error", error)
     rep.set("stop_reason", stop_reason)
@@ -279,6 +304,7 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEP
     rep.set("final_area", state.area_history[-1])
     rep.set("initial_div_JH_l2", initial_div)
     rep.set("final_div_JH_l2", state.residual_history[-1][0])
+    rep.set("final_div_JH_band_l2", band)
     rep.set("final_el_residual_sup", float(np.max(contact.norm(el))))
     rep.set("max_legendrian_residual", max(r[1] for r in state.residual_history))
     rep.set("final_S_max_dev", float(np.max(np.abs(state.geo.data.S - 2.0))))

@@ -27,7 +27,6 @@ import numpy as np
 from . import contact, grids
 
 SQRT3 = np.sqrt(3.0)
-RK4_STEPS = 40  # per unit time of the ambient contact flow
 
 GRID_FORMAT_HEADER = "legendrian-lab grid v1"
 
@@ -309,6 +308,11 @@ def variation_field_on_positions(positions, f, scheme):
     """
     xu = grids.deriv(positions, 0, scheme)
     xv = grids.deriv(positions, 1, scheme)
+    return _variation_field(positions, xu, xv, f, scheme)
+
+
+def _variation_field(positions, xu, xv, f, scheme):
+    """V_f from positions whose first derivatives xu, xv are already known."""
     g11, g12, g22, det = first_fundamental_form(xu, xv)
     fu = grids.deriv(f, 0, scheme)
     fv = grids.deriv(f, 1, scheme)
@@ -322,30 +326,16 @@ def variation_field_on_positions(positions, f, scheme):
 # Ambient contact-Hamiltonian perturbations (exactly Legendrian-preserving)
 
 
-@dataclass(frozen=True)
-class QuadraticContactHamiltonian:
-    """Contact Hamiltonian f(q) = q^T M q on S^5 and its contact vector field.
-
-    The flow of the field is a contactomorphism, so it carries Legendrian
-    grids to Legendrian grids exactly; only the ODE integration error
-    survives.  Quadratics of Re/Im(z_i z_j) type are non-Hermitian and give
-    genuinely non-isometric deformations (Hermitian ones rotate the sphere).
-    """
-
-    matrix: np.ndarray
-
-    def value(self, q):
-        return np.einsum("...i,ij,...j->...", q, self.matrix, q)
-
-    def gradient(self, q):
-        return 2.0 * np.einsum("ij,...j->...i", self.matrix, q)
-
-    def field(self, q):
-        """V = f R + (1/2) J0 (grad_xi f), the contact vector field."""
-        f = self.value(q)
-        g = self.gradient(q)
-        g_xi = contact.project_contact_hyperplane(q, g, check=False)
-        return f[..., None] * contact.j_apply(q) + 0.5 * contact.j_apply(g_xi)
+def expm(a):
+    """Matrix exponential: scaling and squaring of a degree-18 Taylor polynomial."""
+    squarings = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]) + 1)
+    x = a / 2.0**squarings  # 1-norm <= 1/2: the series tail is below 1e-22
+    out = eye = np.eye(len(a))
+    for k in range(18, 0, -1):  # Horner: I + x (I + x/2 (I + ...))
+        out = eye + x @ out / k
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def _pair_quadratic(i, j, kind):
@@ -368,7 +358,7 @@ _GENERIC_PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
 def random_contact_hamiltonian(eps, seed=0, mode="stable"):
-    """Random non-isometric quadratic Hamiltonian scaled to max |f| = eps.
+    """Matrix M of a random non-isometric quadratic Hamiltonian f = q^T M q, max |f| = eps.
 
     mode "stable" draws from the z_k^2 family (perturbations the area flow
     contracts back to the torus); "generic" adds the mixed z_i z_j pairs,
@@ -385,34 +375,24 @@ def random_contact_hamiltonian(eps, seed=0, mode="stable"):
     scale = float(np.max(np.abs(np.einsum("...i,ij,...j->...", reference, m, reference))))
     if scale == 0.0:
         raise ValueError("degenerate Hamiltonian draw")
-    return QuadraticContactHamiltonian(matrix=(eps / scale) * m)
-
-
-def flow_ambient(positions, hamiltonian):
-    """Classical RK4 on dq/dt = V(q) over unit time, applied node by node."""
-    q = np.asarray(positions, dtype=float).copy()
-    h = 1.0 / RK4_STEPS
-    for _ in range(RK4_STEPS):
-        k1 = hamiltonian.field(q)
-        k2 = hamiltonian.field(q + 0.5 * h * k1)
-        k3 = hamiltonian.field(q + 0.5 * h * k2)
-        k4 = hamiltonian.field(q + h * k3)
-        q = q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return contact.normalize(q)
+    return (eps / scale) * m
 
 
 def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
                     mode="stable") -> GridSurface:
-    """Legendrian torus pushed along a seeded ambient contact flow.
+    """Legendrian torus moved by the time-one flow of a seeded contact Hamiltonian.
 
-    All resolutions sample the same smooth surface, so grid-refinement
-    studies see pure discretization error; the Legendrian residual is the
-    RK4 integration error (~1e-12).  See
-    random_contact_hamiltonian for the stable/generic distinction.
+    The contact field of f = q^T M q is J0 M q - <J0 M q, q> q, the sphere
+    projection of the linear symplectic field q -> J0 M q, and the radial
+    projection of a linear symplectic flow is a contactomorphism (Geiges,
+    An Introduction to Contact Topology, 2008).  So the flow is
+    q -> E q / |E q| with E = exp(J0 M): every resolution samples the same
+    Legendrian surface up to roundoff.  See random_contact_hamiltonian for
+    the stable/generic distinction.
     """
     base = resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
     if eps == 0.0:
         return base
-    ham = random_contact_hamiltonian(eps, seed=seed, mode=mode)
-    pos = flow_ambient(base.positions, ham)
-    return GridSurface(positions=pos, scheme=scheme)
+    m = random_contact_hamiltonian(eps, seed=seed, mode=mode)
+    e = expm(contact.j_apply(m.T).T)  # exp(J0 M), J0 applied column by column
+    return GridSurface(positions=contact.normalize(base.positions @ e.T), scheme=scheme)

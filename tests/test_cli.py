@@ -148,10 +148,12 @@ def test_reports_byte_identical_across_runs(tmp_path):
 
 
 def test_flow_csv_byte_identical_across_runs(tmp_path):
+    # spectral N=16 is under-resolved for the default tol: the flow exits 1
     args = ["flow", "--epsilon", "0.02", "--grid", "16"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(args + ["--out", str(out1)]) == 0
-    assert run_cli(args + ["--out", str(out2)]) == 0
+    assert run_cli(args + ["--out", str(out1)]) == 1
+    assert run_cli(args + ["--out", str(out2)]) == 1
+    assert json.loads((out1 / "report.json").read_text())["stop_reason"] == "under-resolved"
     for name in ("report.json", "report.txt", "flow.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

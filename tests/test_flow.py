@@ -119,6 +119,9 @@ def test_descent_potential_is_positive_multiplier():
     # saddle directions removed
     assert mult[1, 0] == 0.0 and mult[0, 1] == 0.0 and mult[1, 1] == 0.0
     assert mult[1, 32 - 1] > 0.0  # (1,-1) is marginal, kept
+    # 2/3-rule dealiasing: |k_u| or |k_v| >= 32/3 is cut
+    assert mult[10, 10] > 0.0 and mult[10, -10] > 0.0
+    assert mult[11, 0] == 0.0 and mult[0, -11] == 0.0 and mult[16, 16] == 0.0
 
 
 def test_flow_step_strict_descent_and_rejection_bookkeeping():
@@ -142,7 +145,7 @@ def test_run_flow_builds_one_geometry_per_accepted_surface(monkeypatch):
     monkeypatch.setattr(flow.grid_ops, "derived_geometry", counted)
     result = flow.run_flow(_stable_start(n=16), max_steps=5000, tol=1e-4)
     state, rep = result.state, result.report
-    assert result.converged and rep["steps"] > 0
+    assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
     assert len(calls) == rep["steps"] + 1
     assert state.geo.surface is state.surface
     # the cached geometry is the geometry of the final surface, not a stale one
@@ -251,9 +254,10 @@ def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_pa
 
     monkeypatch.setattr(grid_ops, "normal_laplacian", counted)
     monkeypatch.setattr(flow, "area_of_positions", counted_area)
-    result = flow.run_flow(_stable_start(n=16), max_steps=5000, tol=1e-4)
+    # tau0 = 0.05 makes the line search halve; at the default it never does here
+    result = flow.run_flow(_stable_start(n=16), tau0=0.05, max_steps=5000, tol=1e-4)
     state, rep = result.state, result.report
-    assert rep["stop_reason"] == "converged" and rep["steps"] > 0
+    assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
     assert len(calls) == 1 and calls[0] is state.geo
     el = grid_ops.el_residual(state.geo, legendrian_tol=flow.FLOW_LEGENDRIAN_ABORT)
     assert rep["final_el_residual_sup"] == float(np.max(contact.norm(el)))
@@ -319,6 +323,47 @@ def test_stop_reason_stalled_when_every_trial_underflows():
     rep = flow.run_flow(_stable_start(n=16), tau0=1e-13).report
     assert rep["stalled"] and not rep["converged"]
     assert rep["stop_reason"] == "stalled" and rep["steps"] == 0
+
+
+def _band_l2s(state):
+    """L2 norms of the raw div JH inside and outside the 2/3-rule passband."""
+    n = state.geo.n
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
+    cut = (k[:, None] >= n / 3) | (k[None, :] >= n / 3)
+    band = np.fft.ifft2(np.fft.fft2(state.div_JH) * cut).real
+    return [np.sqrt(grid_ops.quadrature(part**2, state.geo))
+            for part in (state.div_JH - band, band)]
+
+
+def test_stop_reason_under_resolved_when_only_the_cut_band_misses_the_target(tmp_path):
+    result = flow.run_flow(_stable_start(n=16))
+    rep = result.report
+    target = 1e-4 * rep["initial_div_JH_l2"]
+    passband, band = _band_l2s(result.state)
+    assert rep["stop_reason"] == "under-resolved" and rep["error"] is None
+    assert not rep["converged"] and not rep["stalled"]
+    assert passband <= target < band
+    assert rep["final_div_JH_band_l2"] == pytest.approx(band, rel=1e-12)
+    _assert_reports_last_accepted_surface(result, tmp_path)
+
+
+def test_stop_reason_under_resolved_when_the_line_search_stalls_on_the_band():
+    result = flow.run_flow(_stable_start(n=16), tol=1e-9)
+    rep = result.report
+    passband, band = _band_l2s(result.state)
+    assert rep["stop_reason"] == "under-resolved" and rep["stalled"]
+    assert 1e-9 * rep["initial_div_JH_l2"] < passband <= band
+
+
+def test_converged_flow_leaves_the_cut_band_below_the_target(converged_flow):
+    rep = converged_flow.report
+    assert rep["final_div_JH_band_l2"] < rep["final_div_JH_l2"] <= 1e-4 * rep["initial_div_JH_l2"]
+
+
+def test_spectral_step_count_does_not_grow_with_resolution(converged_flow):
+    fine = flow.run_flow(_stable_start(n=64), max_steps=5000, tol=1e-4).report
+    assert fine["stop_reason"] == "converged"
+    assert abs(fine["steps"] - converged_flow.report["steps"]) <= 2
 
 
 def test_stop_reason_max_steps(tmp_path):

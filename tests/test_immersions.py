@@ -280,7 +280,63 @@ def test_ambient_perturbation_exactly_legendrian():
 
 
 def test_ambient_perturbation_scale_set_by_eps():
-    ham = immersions.random_contact_hamiltonian(0.05, seed=2)
+    m = immersions.random_contact_hamiltonian(0.05, seed=2)
     base = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32, "fd4")
-    f = ham.value(base.positions)
+    f = np.einsum("...i,ij,...j->...", base.positions, m, base.positions)
     assert np.max(np.abs(f)) == pytest.approx(0.05, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form ambient contact flow
+
+J0 = contact.j_apply(np.eye(6)).T  # the matrix of the complex structure
+
+
+def _rk4_contact_flow(positions, m, steps=40):
+    """Classical RK4 over unit time of the contact field of f = q^T M q."""
+
+    def field(q):
+        f = np.einsum("...i,ij,...j->...", q, m, q)
+        g_xi = contact.project_contact_hyperplane(q, 2.0 * q @ m, check=False)
+        return f[..., None] * contact.j_apply(q) + 0.5 * contact.j_apply(g_xi)
+
+    q, h = positions, 1.0 / steps
+    for _ in range(steps):
+        k1 = field(q)
+        k2 = field(q + 0.5 * h * k1)
+        k3 = field(q + 0.5 * h * k2)
+        k4 = field(q + h * k3)
+        q = q + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return contact.normalize(q)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("mode", ["stable", "generic"])
+def test_perturbed_torus_matches_the_integrated_contact_field(n, mode):
+    base = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), n, "spectral")
+    m = immersions.random_contact_hamiltonian(0.02, seed=0, mode=mode)
+    exact = immersions.perturbed_torus(eps=0.02, n=n, scheme="spectral", seed=0, mode=mode)
+    assert np.max(np.abs(exact.positions - _rk4_contact_flow(base.positions, m))) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["stable", "generic"])
+def test_contact_flow_matrix_is_symplectic(mode):
+    for seed in range(3):
+        e = immersions.expm(J0 @ immersions.random_contact_hamiltonian(0.02, seed=seed, mode=mode))
+        assert np.max(np.abs(e.T @ J0 @ e - J0)) <= 1e-14
+
+
+def test_hermitian_hamiltonian_flows_by_a_unitary_map():
+    s = np.random.default_rng(0).standard_normal((6, 6))
+    s = 0.1 * (s + s.T)
+    m = s + J0.T @ s @ J0  # commutes with J0: q^T M q is Hermitian
+    e = immersions.expm(J0 @ m)
+    assert np.max(np.abs(e.T @ e - np.eye(6))) <= 1e-14
+    assert np.max(np.abs(e @ J0 - J0 @ e)) <= 1e-14
+
+
+def test_expm_scales_and_squares_a_rotation():
+    # J0^2 = -1, so exp(t J0) = cos t + sin t J0; t = 10 takes five squarings
+    for t in (0.0, 0.3, 10.0):
+        rotation = np.cos(t) * np.eye(6) + np.sin(t) * J0
+        assert np.max(np.abs(immersions.expm(t * J0) - rotation)) <= 1e-13

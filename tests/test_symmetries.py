@@ -17,7 +17,7 @@ SHIFT = (3, -5)
 # bounds are >= 100x the worst deviations measured with seed 0
 POINTWISE_TOL = 5e-10  # worst: 1.3e-12 (spectral div JH)
 INTEGRAL_TOL = 1e-11   # relative to max(1, |value|); worst: 5.1e-14 (fd4 I1)
-FLOW_AREA_TOL = 2e-10  # final areas 8.9e-13 apart (spectral N=16)
+FLOW_AREA_TOL = 2e-10  # final areas 0 apart (fd4 N=32, spectral N=16)
 INTEGRALS = ("area", "W", "I1", "I2", "E", "Sigma_Simons", "li_margin_min")
 
 
@@ -67,15 +67,16 @@ def test_invariants_survive_unitary_motion_and_shift(scheme, mode, geometry_cach
 
 @pytest.mark.parametrize("scheme, n", [("fd4", 32), ("spectral", 16)])
 def test_flow_limit_survives_unitary_motion_and_shift(scheme, n):
-    """Both flows converge to the same area.
+    """Both flows stop for the same reason, after as many steps, at the same area.
 
-    The step counts are not compared: a spectral flow's count moves with
-    any roundoff-level change of its start (106 steps against 100 for
-    the spectral N=16 pair; the fd4 pair takes 80 each).
+    fd4 N=32 converges; spectral N=16 is under-resolved for the default
+    tol.  Each pair takes 80 steps.
     """
     start = immersions.perturbed_torus(eps=0.02, n=n, scheme=scheme, seed=0, mode="stable")
     results = [flow.run_flow(s) for s in (start, moved(start))]
-    assert all(r.converged for r in results)
+    expected = "converged" if n == 32 else "under-resolved"
+    assert [r.report["stop_reason"] for r in results] == [expected, expected]
+    assert results[0].report["steps"] == results[1].report["steps"]
     areas = [r.report["final_area"] for r in results]
     assert abs(areas[1] - areas[0]) <= FLOW_AREA_TOL
 

@@ -4,8 +4,9 @@ Runs every op of the benchmark workloads (perfbench/workloads.py, read
 only) plus a few extra ops against the library of each tree, one child
 interpreter at a time with OMP/OPENBLAS/MKL threads set to 1, and
 compares the exit code and report.json, report.txt and flow.csv of each
-op.  Exits 0 when every op agrees, 1 naming each op that differs, 2 on
-a usage error.
+op.  When report.json differs, each differing key is printed with both
+values and, for two numbers, their relative difference.  Exits 0 when
+every op agrees, 1 naming each op that differs, 2 on a usage error.
 
     git worktree add ../leglab-parent HEAD~1
     python3 tools/compare_outputs.py ../leglab-parent . --seeds 0 1 2
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import filecmp
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -99,6 +101,25 @@ def differences(code_a, dir_a, code_b, dir_b):
     return diffs
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def report_key_differences(dir_a, dir_b):
+    """One line per report.json key whose values differ between the trees."""
+    first, second = (json.loads((d / "report.json").read_text()) for d in (dir_a, dir_b))
+    lines = []
+    for key in sorted(first.keys() | second.keys()):
+        a, b = first.get(key, "<absent>"), second.get(key, "<absent>")
+        if repr(a) == repr(b):  # repr: NaN equals NaN, 1 differs from 1.0
+            continue
+        line = f"    {key}: {a!r} -> {b!r}"
+        if _is_number(a) and _is_number(b) and max(abs(a), abs(b)) > 0:  # 0 vs -0.0: no ratio
+            line += f"  (relative difference {abs(a - b) / max(abs(a), abs(b)):.2e})"
+        lines.append(line)
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("first", type=Path, help="root of the first source tree")
@@ -124,6 +145,8 @@ def main(argv=None):
                 diffs = differences(*runs)  # exit code and directory of each side
                 print(f"{'DIFF' if diffs else 'same'}  {label}"
                       + (f"  ({'; '.join(diffs)})" if diffs else ""), flush=True)
+                if "report.json differs" in diffs:
+                    print(*report_key_differences(runs[1], runs[3]), sep="\n", flush=True)
                 if diffs:
                     differing.append(label)
     if differing:
