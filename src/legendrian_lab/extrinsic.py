@@ -12,11 +12,17 @@ radial component exactly.  When the surface is Legendrian at working
 precision the normal frame is (J E1, J E2, R); otherwise a generic
 orthonormal normal frame is grown deterministically from the coordinate
 axes.  Everything broadcasts over leading batch axes.
+
+The metric, the Legendrian residual and H are built eagerly, as a flow
+step reads nothing else; the normal frame, B, S, rho^2 and K on first
+read.  H goes through no normal frame: it is the normal part of
+(1/2) (c^T c)_ij d_ij x, the trace of B in the frame's own contraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,22 +41,38 @@ class AdaptedFrame:
 
     coeff maps orthonormal to coordinate tangents: E_a = coeff[..., a, i] d_i
     with the Gram-Schmidt order fixed (du first).  legendrian is a single
-    flag for the whole batch so grid frames stay smooth.
+    flag for the whole batch so grid frames stay smooth, set from the pointwise
+    legendrian_residual max |alpha(d_i)|.  The normals are built on first read.
     """
 
     E1: np.ndarray
     E2: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
-    N3: np.ndarray
     coeff: np.ndarray
     legendrian: bool
+    p: np.ndarray
+    legendrian_residual: np.ndarray
+
+    @cached_property
+    def _normals(self):
+        if self.legendrian:
+            return j_apply(self.E1), j_apply(self.E2), j_apply(self.p)
+        return tuple(_generic_normals(self.p, self.E1, self.E2))
+
+    N1 = property(lambda self: self._normals[0])
+    N2 = property(lambda self: self._normals[1])
+    N3 = property(lambda self: self._normals[2])
 
     def tangents(self):
         return (self.E1, self.E2)
 
     def normals(self):
-        return (self.N1, self.N2, self.N3)
+        return self._normals
+
+    def normal_part(self, w):
+        """w off E1, E2, then off p (which also drops the radial part of FD jets)."""
+        for e in (self.E1, self.E2, self.p):
+            w = w - dot(w, e)[..., None] * e
+        return w
 
     def orthonormality_residual(self, p):
         vecs = [self.E1, self.E2, self.N1, self.N2, self.N3]
@@ -130,41 +152,56 @@ def adapted_frame(jet: Jet2, legendrian_tol=LEGENDRIAN_FRAME_TOL) -> AdaptedFram
     coeff[..., 1, 1] = c22
 
     au, av = legendrian_residual(jet)
-    res = max(float(np.max(np.abs(au))), float(np.max(np.abs(av))))
-    if res <= legendrian_tol:
-        return AdaptedFrame(
-            E1=e1, E2=e2,
-            N1=j_apply(e1), N2=j_apply(e2), N3=j_apply(p),
-            coeff=coeff, legendrian=True,
-        )
-    normals = _generic_normals(p, e1, e2)
-    return AdaptedFrame(
-        E1=e1, E2=e2, N1=normals[0], N2=normals[1], N3=normals[2],
-        coeff=coeff, legendrian=False,
-    )
+    res = np.maximum(np.abs(au), np.abs(av))
+    return AdaptedFrame(E1=e1, E2=e2, coeff=coeff, legendrian=bool(np.max(res) <= legendrian_tol),
+                        p=p, legendrian_residual=res)
 
 
 @dataclass(frozen=True)
 class ExtrinsicData:
-    """Induced metric and curvature data at parameter points (batched)."""
+    """Induced metric and curvature data (batched): fields eager, properties on first read."""
 
     g: np.ndarray            # (..., 2, 2)
     ginv: np.ndarray         # (..., 2, 2)
     sqrt_det_g: np.ndarray   # (...,)
-    h: np.ndarray            # (..., 3, 2, 2) flat-index components
-    Hcomp: np.ndarray        # (..., 3)
     Hvec: np.ndarray         # (..., 6)
-    H2: np.ndarray           # (...,)
-    S: np.ndarray            # (...,)
-    rho2: np.ndarray         # (...,)
-    K: np.ndarray            # (...,)
     legendrian_residual: np.ndarray  # (...,) max |alpha(d_i)|
-    Bhat: np.ndarray         # (..., 2, 2, 6) normal-valued form, flat indices
+    jet: Jet2
+    frame: AdaptedFrame
+
+    @cached_property
+    def Bhat(self):
+        """(..., 2, 2, 6) normal-valued second fundamental form, flat indices."""
+        jet, frame, p = self.jet, self.frame, self.jet.value
+        B = {(i, j): frame.normal_part(d2 + self.g[..., i, j, None] * p)  # coordinate B_ij
+             for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv))}
+        B[1, 0] = B[0, 1]
+        # Bhat_ab = sum_ij (c_ai c_bj) B_ij, summed in (i, j) order
+        c = frame.coeff
+        Bhat = np.empty(p.shape[:-1] + (2, 2, 6))
+        for a in range(2):
+            for b in range(2):
+                Bhat[..., a, b, :] = sum((c[..., a, i] * c[..., b, j])[..., None] * B[i, j]
+                                         for i in range(2) for j in range(2))
+        return Bhat
+
+    h = cached_property(lambda self: np.stack(  # (..., 3, 2, 2) <Bhat_ab, N_k>
+        [dot(self.Bhat, n[..., None, None, :]) for n in self.frame.normals()], axis=-3))
+    Hcomp = cached_property(lambda self: 0.5 * (self.h[..., 0, 0] + self.h[..., 1, 1]))
+    S = cached_property(lambda self: np.einsum("...abk,...abk->...", self.Bhat, self.Bhat))
+    H2 = cached_property(lambda self: dot(self.Hvec, self.Hvec))
+    rho2 = cached_property(lambda self: self.S - 2.0 * self.H2)
+    K = cached_property(lambda self: 0.5 * (2.0 + 4.0 * self.H2 - self.S))
 
 
 def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
-    """Second fundamental form and scalar invariants in the given frame."""
-    p = jet.value
+    """Metric and H = (1/2) P_nu(sum_ij (c^T c)_ij d_ij x); the rest on first read.
+
+    P_nu is frame.normal_part, so no normal frame is built.  c^T c is the
+    inverse metric of the tangential parts of d_i x, the contraction Bhat
+    uses, so H is (1/2) tr Bhat to roundoff; ginv, from the raw jets,
+    differs from it by the O(scheme) radial part of FD jets.
+    """
     E, F, G, det = first_fundamental_form(jet.du, jet.dv)
     if not np.min(det) >= GRAM_DET_TOL:
         raise ValueError(f"degenerate or non-finite induced metric: det g = {np.min(det):.3e}")
@@ -172,39 +209,13 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     ginv = np.stack([np.stack([G, -F], axis=-1), np.stack([-F, E], axis=-1)], axis=-2)
     ginv /= det[..., None, None]
 
-    B = {}  # coordinate components B_ij
-    for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv)):
-        b = d2 + g[..., i, j, None] * p
-        for e in frame.tangents():
-            b = b - dot(b, e)[..., None] * e
-        B[i, j] = b - dot(b, p)[..., None] * p  # guard residual radial part of FD jets
-    B[1, 0] = B[0, 1]
-
-    # flat indices: Bhat_ab = sum_ij (c_ai c_bj) B_ij, summed in (i, j) order
     c = frame.coeff
-    Bhat = np.empty(p.shape[:-1] + (2, 2, 6))
-    h = np.empty(p.shape[:-1] + (3, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            bhat = sum((c[..., a, i] * c[..., b, j])[..., None] * B[i, j]
-                       for i in range(2) for j in range(2))
-            Bhat[..., a, b, :] = bhat
-            for k, n in enumerate(frame.normals()):
-                h[..., k, a, b] = dot(bhat, n)
-
-    Hcomp = 0.5 * (h[..., 0, 0] + h[..., 1, 1])
-    Hvec = sum(Hcomp[..., b, None] * n for b, n in enumerate(frame.normals()))
-    H2 = np.einsum("...b,...b->...", Hcomp, Hcomp)
-    S = np.einsum("...bij,...bij->...", h, h)
-    rho2 = S - 2.0 * H2
-    K = 0.5 * (2.0 + 4.0 * H2 - S)
-
-    au, av = legendrian_residual(jet)
-    res = np.maximum(np.abs(au), np.abs(av))
-    return ExtrinsicData(
-        g=g, ginv=ginv, sqrt_det_g=np.sqrt(det), h=h, Hcomp=Hcomp, Hvec=Hvec,
-        H2=H2, S=S, rho2=rho2, K=K, legendrian_residual=res, Bhat=Bhat,
-    )
+    trace = sum((c[..., 0, i] * c[..., 0, j] + c[..., 1, i] * c[..., 1, j])[..., None] * d2
+                for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 0, jet.duv),
+                                 (1, 1, jet.dvv)))
+    return ExtrinsicData(g=g, ginv=ginv, sqrt_det_g=np.sqrt(det),
+                         Hvec=0.5 * frame.normal_part(trace),
+                         legendrian_residual=frame.legendrian_residual, jet=jet, frame=frame)
 
 
 @dataclass(frozen=True)

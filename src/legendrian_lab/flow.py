@@ -63,13 +63,10 @@ class FlowAbort(ValueError):
         self.reason = reason
 
 
-def area_of_positions(positions, scheme):
-    """Area of a repositioned grid without building full geometry."""
-    xu = grids.deriv(positions, 0, scheme)
-    xv = grids.deriv(positions, 1, scheme)
-    *_, det = first_fundamental_form(xu, xv)
-    n = positions.shape[0]
-    return float(np.sum(np.sqrt(det)) * grids.cell_area(n))
+def area_of_positions(surface: GridSurface):
+    """Area of a grid surface from its (cached) first derivatives alone."""
+    *_, det = first_fundamental_form(*surface.first_derivatives)
+    return float(np.sum(np.sqrt(det)) * grids.cell_area(surface.n))
 
 
 def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
@@ -85,14 +82,14 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
         raise ValueError("finite-difference step eps must lie in (0, 1e-2]")
     geo.check_legendrian(what="first_variation_check")
     f = np.asarray(f, dtype=float)
-    v = _variation_field(geo.jet.value, geo.jet.du, geo.jet.dv, f, geo.scheme)
+    v = _variation_field(geo.jet.value, geo.jet.du, geo.jet.dv, f, (geo.d(f, 0), geo.d(f, 1)))
 
     geometric = -2.0 * grid_ops.quadrature(dot(geo.data.Hvec, v), geo)
     div, _ = grid_ops.div_JH(geo)
     divergence = -grid_ops.quadrature(f * div, geo)
-    plus = contact.normalize(geo.jet.value + eps * v)
-    minus = contact.normalize(geo.jet.value - eps * v)
-    fd = (area_of_positions(plus, geo.scheme) - area_of_positions(minus, geo.scheme)) / (2 * eps)
+    plus, minus = (geo.surface.with_positions(contact.normalize(geo.jet.value + s * v))
+                   for s in (eps, -eps))
+    fd = (area_of_positions(plus) - area_of_positions(minus)) / (2 * eps)
     return geometric, divergence, fd
 
 
@@ -204,7 +201,8 @@ def flow_step(state: FlowState) -> FlowState:
     f = descent_potential(state.div_JH)
     p = state.surface.positions
     scheme = state.surface.scheme
-    v1 = _variation_field(p, state.geo.jet.du, state.geo.jet.dv, f, scheme)
+    df = (grids.deriv(f, 0, scheme), grids.deriv(f, 1, scheme))  # f is frozen over the step
+    v1 = _variation_field(p, state.geo.jet.du, state.geo.jet.dv, f, df)
     vmax = float(np.max(contact.norm(v1)))
     if vmax == 0.0:
         state.stalled = True
@@ -212,21 +210,22 @@ def flow_step(state: FlowState) -> FlowState:
 
     area = state.area
     tau = min(state.tau, STEP_CAP / vmax)
-    accepted = None
+    surface = None
     for halvings in range(MAX_HALVINGS + 1):
         if tau < TAU_UNDERFLOW:
             break
         half = contact.normalize(p + 0.5 * tau * v1)
-        trial = contact.normalize(p + tau * variation_field_on_positions(half, f, scheme))
-        if area_of_positions(trial, scheme) < area:
-            accepted = trial
-            break
+        trial = contact.normalize(p + tau * variation_field_on_positions(half, f, scheme, df))
+        if np.all(np.isfinite(trial)):  # a non-finite trial halves, as a larger area does
+            trial = state.surface.with_positions(trial)
+            if area_of_positions(trial) < area:
+                surface = trial  # geometry below reuses the derivatives the area took
+                break
         tau *= 0.5
-    if accepted is None:
+    if surface is None:
         state.stalled = True
         return state
 
-    surface = state.surface.with_positions(accepted)
     geo = grid_ops.derived_geometry(surface)
     div, residuals = _diagnostics(geo, state.step_index + 1)
     state.surface, state.geo, state.div_JH = surface, geo, div
@@ -244,12 +243,14 @@ def write_flow_csv(state: FlowState, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "tau", "area", "div_JH_l2", "legendrian_residual",
-                         "halvings", "frame"])
-        for i in range(1, len(state.area_history)):
+                         "halvings", "frame", "rel_area_drop"])
+        areas = state.area_history
+        for i in range(1, len(areas)):
             div_l2, leg, frame = state.residual_history[i]
             writer.writerow([i] + [repr(float(x)) for x in (
-                state.tau_history[i - 1], state.area_history[i], div_l2, leg)]
-                + [state.halvings_history[i - 1], frame])
+                state.tau_history[i - 1], areas[i], div_l2, leg)]
+                + [state.halvings_history[i - 1], frame,
+                   repr(float((areas[i - 1] - areas[i]) / areas[i - 1]))])
 
 
 @dataclass

@@ -6,10 +6,11 @@ axis 0 = u and axis 1 = v.  Fields may carry trailing component axes
 
 Three schemes are supported: second- and fourth-order central
 differences ("fd2", "fd4") and Fourier spectral differentiation
-("spectral").  First-derivative stencils are antisymmetric circulants,
-so summation by parts sum (D f) g = -sum f (D g) holds exactly on the
-grid for every scheme; divergence-form quantities therefore integrate
-to zero to rounding.
+("spectral", an rfft/irfft pair along the differentiated axis).
+First-derivative stencils are antisymmetric circulants, so summation by
+parts sum (D f) g = -sum f (D g) holds exactly on the grid for every
+scheme; divergence-form quantities therefore integrate to zero to
+rounding.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ def _shift(f, s, axis):
 
 @functools.lru_cache(maxsize=32)
 def _fourier_multiplier(n, order):
-    """(ik)^order on the FFT frequencies of n points, read-only (cached)."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    """(ik)^order on the rfft frequencies 0..n/2 of n points, read-only (cached)."""
+    k = np.fft.rfftfreq(n, d=1.0 / n)
     if order % 2 == 1:
         k[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
     mult = (1j * k) ** order
@@ -44,10 +45,11 @@ def _fourier_multiplier(n, order):
 
 
 def _spectral_deriv(f, axis, order):
+    n = f.shape[axis]
     shape = [1] * f.ndim
-    shape[axis] = f.shape[axis]
-    mult = _fourier_multiplier(f.shape[axis], order).reshape(shape)
-    return np.fft.ifft(np.fft.fft(f, axis=axis) * mult, axis=axis).real
+    shape[axis] = n // 2 + 1
+    mult = _fourier_multiplier(n, order).reshape(shape)
+    return np.fft.irfft(np.fft.rfft(f, axis=axis) * mult, n=n, axis=axis)
 
 
 def deriv(f, axis, scheme, order=1):

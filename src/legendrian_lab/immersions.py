@@ -18,6 +18,7 @@ to every global operator.
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 from typing import Callable
@@ -232,14 +233,19 @@ class GridSurface:
     def n(self):
         return self.positions.shape[0]
 
+    @functools.cached_property
+    def first_derivatives(self):
+        """(d_u x, d_v x), taken on first read and shared by jets() and the flow's area."""
+        return tuple(grids.deriv(self.positions, axis, self.scheme) for axis in (0, 1))
+
     def jets(self) -> Jet2:
         p = self.positions
         s = self.scheme
-        du = grids.deriv(p, 0, s)
+        du, dv = self.first_derivatives
         return Jet2(
             value=p,
             du=du,
-            dv=grids.deriv(p, 1, s),
+            dv=dv,
             duu=grids.deriv(p, 0, s, order=2),
             duv=grids.deriv(du, 1, s),  # composed first derivatives keep the order
             dvv=grids.deriv(p, 1, s, order=2),
@@ -298,24 +304,24 @@ def first_fundamental_form(xu, xv):
     return E, F, G, E * G - F**2
 
 
-def variation_field_on_positions(positions, f, scheme):
+def variation_field_on_positions(positions, f, scheme, df):
     """Legendrian variation V_f = f R + (1/2) J0 grad_g f, with alpha(V_f) = f.
 
-    The metric and grad_g f are taken from the positions with the given
-    scheme.  The 1/2 is forced by d(alpha) = 2 sum dx ^ dy: it is the
-    unique scaling for which the deformation preserves alpha(d_i) = 0 to
-    first order (the drift is quadratic in the displacement).
+    The metric is taken from the positions with the given scheme; df is
+    (f_u, f_v), taken once by the caller for all the positions it tries.
+    The 1/2 is forced by d(alpha) = 2 sum dx ^ dy: it is the unique
+    scaling for which the deformation preserves alpha(d_i) = 0 to first
+    order (the drift is quadratic in the displacement).
     """
     xu = grids.deriv(positions, 0, scheme)
     xv = grids.deriv(positions, 1, scheme)
-    return _variation_field(positions, xu, xv, f, scheme)
+    return _variation_field(positions, xu, xv, f, df)
 
 
-def _variation_field(positions, xu, xv, f, scheme):
-    """V_f from positions whose first derivatives xu, xv are already known."""
+def _variation_field(positions, xu, xv, f, df):
+    """V_f from positions with known first derivatives xu, xv and df = (f_u, f_v)."""
     g11, g12, g22, det = first_fundamental_form(xu, xv)
-    fu = grids.deriv(f, 0, scheme)
-    fv = grids.deriv(f, 1, scheme)
+    fu, fv = df
     cu = (g22 * fu - g12 * fv) / det
     cv = (-g12 * fu + g11 * fv) / det
     grad = cu[..., None] * xu + cv[..., None] * xv
@@ -371,7 +377,7 @@ def random_contact_hamiltonian(eps, seed=0, mode="stable"):
     basis = [_pair_quadratic(i, j, kind) for (i, j) in pairs for kind in ("re", "im")]
     coeffs = rng.standard_normal(len(basis))
     m = sum(c * b for c, b in zip(coeffs, basis))
-    reference = resample_to_grid(catalog("legendrian_torus"), 32, "fd4").positions
+    reference = _torus_evaluator(0.0)(*grids.grid_nodes(32)).value
     scale = float(np.max(np.abs(np.einsum("...i,ij,...j->...", reference, m, reference))))
     if scale == 0.0:
         raise ValueError("degenerate Hamiltonian draw")

@@ -102,7 +102,7 @@ def test_flow_command_converges_and_writes_csv(tmp_path):
     with open(out / "flow.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "tau", "area", "div_JH_l2", "legendrian_residual",
-                       "halvings", "frame"]
+                       "halvings", "frame", "rel_area_drop"]
     assert len(rows) == 1 + rep["steps"]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -100,10 +102,7 @@ def test_invariants_frame_independent():
                       np.stack([np.stack([np.cos(ang), np.sin(ang)], -1),
                                 np.stack([-np.sin(ang), np.cos(ang)], -1)], -2),
                       frame.coeff)
-    rotated = extrinsic.AdaptedFrame(
-        E1=e1, E2=e2, N1=frame.N1, N2=frame.N2, N3=frame.N3,
-        coeff=coeff, legendrian=frame.legendrian,
-    )
+    rotated = dataclasses.replace(frame, E1=e1, E2=e2, coeff=coeff)
     data2 = extrinsic.extrinsic_data(jet, rotated)
     for field in ("S", "H2", "rho2", "K"):
         assert np.max(np.abs(getattr(data, field) - getattr(data2, field))) < 1e-10
@@ -135,7 +134,8 @@ def test_symmetry_defect_bounded_by_legendrian_residual():
                                     "spectral").positions
     uu, vv = grids.grid_nodes(32)
     f = 1e-3 * np.cos(uu) + 7e-4 * np.sin(vv)
-    moved = contact.normalize(p + immersions.variation_field_on_positions(p, f, "spectral"))
+    df = (grids.deriv(f, 0, "spectral"), grids.deriv(f, 1, "spectral"))
+    moved = contact.normalize(p + immersions.variation_field_on_positions(p, f, "spectral", df))
     jet = immersions.GridSurface(positions=moved, scheme="spectral").jets()
     drift = max(float(np.max(np.abs(a))) for a in extrinsic.legendrian_residual(jet))
     assert 1e-8 < drift <= 1e-6

@@ -22,7 +22,8 @@ def converged_flow():
 
 
 def _variation_field(geo, f):
-    return immersions.variation_field_on_positions(geo.jet.value, f, geo.scheme)
+    return immersions.variation_field_on_positions(geo.jet.value, f, geo.scheme,
+                                                   (geo.d(f, 0), geo.d(f, 1)))
 
 
 def test_variation_field_constant_gives_pure_reeb(geometry_cache):
@@ -95,8 +96,8 @@ def test_second_variation_spectrum_of_flat_torus(geometry_cache):
     for (m, n) in ((1, 0), (1, -1), (2, 0), (2, -1), (3, 0)):
         f = np.cos(m * uu + n * vv)
         v = _variation_field(geo, eps * f)
-        ap = flow.area_of_positions(contact.normalize(base + v), "spectral")
-        am = flow.area_of_positions(contact.normalize(base - v), "spectral")
+        ap = flow.area_of_positions(geo.surface.with_positions(contact.normalize(base + v)))
+        am = flow.area_of_positions(geo.surface.with_positions(contact.normalize(base - v)))
         measured = (ap + am - 2 * A_TORUS) / eps**2
         lam = 2.0 * (m * m - m * n + n * n)
         expected = lam * (lam - 6.0) / 4.0 * (A_TORUS / 2.0)
@@ -148,8 +149,9 @@ def test_run_flow_builds_one_geometry_per_accepted_surface(monkeypatch):
     assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
     assert len(calls) == rep["steps"] + 1
     assert state.geo.surface is state.surface
-    # the cached geometry is the geometry of the final surface, not a stale one
-    fresh = build(state.surface)
+    # the cached geometry is the geometry of the final surface, not a stale one;
+    # a new GridSurface differentiates the final positions again
+    fresh = build(state.surface.with_positions(state.surface.positions))
     integrals = grid_ops.integral_report(fresh)
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
         assert rep["final_" + key] == integrals.get(key)
@@ -229,11 +231,16 @@ def test_flow_csv_schema(tmp_path):
     path = tmp_path / "flow.csv"
     flow.write_flow_csv(result.state, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "step,tau,area,div_JH_l2,legendrian_residual,halvings,frame"
+    assert lines[0] == ("step,tau,area,div_JH_l2,legendrian_residual,halvings,frame,"
+                        "rel_area_drop")
     assert len(lines) == 1 + result.report["steps"]
     first = lines[1].split(",")
     assert int(first[0]) == 1
     assert all(float(x) > 0 for x in first[1:3])
+    areas = result.state.area_history
+    for i, line in enumerate(lines[1:], start=1):
+        assert line.split(",")[7] == repr((areas[i - 1] - areas[i]) / areas[i - 1])
+        assert float(line.split(",")[7]) > 0.0  # the line search accepts only descent
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +255,9 @@ def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_pa
         calls.append(geo)
         return laplacian(v, geo, check=check)
 
-    def counted_area(positions, scheme):
-        trials.append(positions)
-        return area(positions, scheme)
+    def counted_area(surface):
+        trials.append(surface)
+        return area(surface)
 
     monkeypatch.setattr(grid_ops, "normal_laplacian", counted)
     monkeypatch.setattr(flow, "area_of_positions", counted_area)
@@ -290,6 +297,47 @@ def test_derived_geometry_differentiates_the_metric_only_when_gamma_is_read(
     assert len(calls) == 2 * jets + 2
 
 
+def test_fd4_flow_steps_never_build_the_generic_normal_frame(monkeypatch):
+    calls, inside = [], []
+    normals, step = extrinsic._generic_normals, flow.flow_step
+
+    def counted_normals(*args):
+        calls.append(bool(inside))
+        return normals(*args)
+
+    def counted_step(state):
+        inside.append(True)
+        try:
+            return step(state)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(extrinsic, "_generic_normals", counted_normals)
+    monkeypatch.setattr(flow, "flow_step", counted_step)
+    start = immersions.perturbed_torus(eps=0.02, n=32, scheme="fd4", seed=0, mode="stable")
+    rep = flow.run_flow(start).report
+    assert rep["steps"] > 0
+    assert not any(calls) and len(calls) <= 1
+
+
+def test_spectral_32_flow_differentiates_each_accepted_surface_once(monkeypatch):
+    calls = []
+    deriv = grids.deriv
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return deriv(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "deriv", counted)
+    result = flow.run_flow(_stable_start(), max_steps=5000, tol=1e-4)
+    assert result.report["stop_reason"] == "converged"
+    assert len(calls) <= 960
+    # the accepted trial's first derivatives, taken for its area, are the geometry's
+    state = result.state
+    assert state.geo.jet.du is state.surface.first_derivatives[0]
+    assert state.geo.jet.dv is state.surface.first_derivatives[1]
+
+
 # ---------------------------------------------------------------------------
 # why a flow stops
 
@@ -312,7 +360,7 @@ def _assert_reports_last_accepted_surface(result, tmp_path):
     if rows:
         assert rep["final_area"] == float(rows[-1][2])
         assert rep["final_div_JH_l2"] == float(rows[-1][3])
-    fresh = grid_ops.derived_geometry(state.surface)
+    fresh = grid_ops.derived_geometry(state.surface.with_positions(state.surface.positions))
     integrals = grid_ops.integral_report(fresh)
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
         assert rep["final_" + key] == integrals.get(key)
@@ -323,6 +371,25 @@ def test_stop_reason_stalled_when_every_trial_underflows():
     rep = flow.run_flow(_stable_start(n=16), tau0=1e-13).report
     assert rep["stalled"] and not rep["converged"]
     assert rep["stop_reason"] == "stalled" and rep["steps"] == 0
+
+
+def test_non_finite_trial_is_halved_like_a_larger_area(monkeypatch):
+    """A trial with non-finite positions is rejected and halved, not raised."""
+    field, calls = flow.variation_field_on_positions, []
+
+    def nan_first(*args):
+        calls.append(1)
+        v = field(*args)
+        return np.full_like(v, np.nan) if len(calls) == 1 else v
+
+    plain = flow.start_flow(_stable_start(n=16))
+    flow.flow_step(plain)
+    monkeypatch.setattr(flow, "variation_field_on_positions", nan_first)
+    state = flow.start_flow(_stable_start(n=16))
+    flow.flow_step(state)
+    assert state.step_index == 1 and not state.stalled
+    assert state.halvings_history == [plain.halvings_history[0] + 1]
+    assert np.all(np.isfinite(state.surface.positions))
 
 
 def _band_l2s(state):

@@ -267,7 +267,9 @@ def test_euler_perturbation_along_stable_mode_increases_area():
     # (quadrature oracle)
     g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32, "spectral")
     uu, _ = grids.grid_nodes(32)
-    v = immersions.variation_field_on_positions(g.positions, 0.02 * np.cos(2 * uu), "spectral")
+    f = 0.02 * np.cos(2 * uu)
+    df = (grids.deriv(f, 0, "spectral"), grids.deriv(f, 1, "spectral"))
+    v = immersions.variation_field_on_positions(g.positions, f, "spectral", df)
     geo = grid_ops.derived_geometry(g.with_positions(contact.normalize(g.positions + v)))
     assert grid_ops.surface_area(geo) > A_TORUS + 1e-6
 
@@ -284,6 +286,21 @@ def test_ambient_perturbation_scale_set_by_eps():
     base = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32, "fd4")
     f = np.einsum("...i,ij,...j->...", base.positions, m, base.positions)
     assert np.max(np.abs(f)) == pytest.approx(0.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["stable", "generic"])
+def test_hamiltonian_scale_from_torus_values_keeps_the_matrix_bits(mode):
+    """M scaled from the torus values alone equals M scaled from the full fd4 grid surface."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        pairs = immersions._STABLE_PAIRS + (immersions._GENERIC_PAIRS if mode == "generic" else [])
+        basis = [immersions._pair_quadratic(i, j, kind) for i, j in pairs for kind in ("re", "im")]
+        m = sum(c * b for c, b in zip(rng.standard_normal(len(basis)), basis))
+        reference = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32,
+                                                "fd4").positions
+        scale = float(np.max(np.abs(np.einsum("...i,ij,...j->...", reference, m, reference))))
+        assert np.array_equal(immersions.random_contact_hamiltonian(0.02, seed=seed, mode=mode),
+                              (0.02 / scale) * m)
 
 
 # ---------------------------------------------------------------------------

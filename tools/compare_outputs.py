@@ -5,8 +5,11 @@ only) plus a few extra ops against the library of each tree, one child
 interpreter at a time with OMP/OPENBLAS/MKL threads set to 1, and
 compares the exit code and report.json, report.txt and flow.csv of each
 op.  When report.json differs, each differing key is printed with both
-values and, for two numbers, their relative difference.  Exits 0 when
-every op agrees, 1 naming each op that differs, 2 on a usage error.
+values and, for two numbers, their relative difference.  After the
+per-op lines come two summaries: the largest relative difference of each
+differing report.json key over all ops and seeds, and the ops whose exit
+code, `steps` or `stop_reason` changed.  Exits 0 when every op agrees,
+1 naming each op that differs, 2 on a usage error.
 
     git worktree add ../leglab-parent HEAD~1
     python3 tools/compare_outputs.py ../leglab-parent . --seeds 0 1 2
@@ -105,18 +108,41 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def report_key_differences(dir_a, dir_b):
-    """One line per report.json key whose values differ between the trees."""
-    first, second = (json.loads((d / "report.json").read_text()) for d in (dir_a, dir_b))
-    lines = []
+def load_reports(dir_a, dir_b):
+    return [json.loads((d / "report.json").read_text()) if (d / "report.json").exists() else {}
+            for d in (dir_a, dir_b)]
+
+
+def report_key_differences(first, second):
+    """(key, first value, second value, relative difference or None) per differing key."""
+    out = []
     for key in sorted(first.keys() | second.keys()):
         a, b = first.get(key, "<absent>"), second.get(key, "<absent>")
         if repr(a) == repr(b):  # repr: NaN equals NaN, 1 differs from 1.0
             continue
-        line = f"    {key}: {a!r} -> {b!r}"
+        rel = None
         if _is_number(a) and _is_number(b) and max(abs(a), abs(b)) > 0:  # 0 vs -0.0: no ratio
-            line += f"  (relative difference {abs(a - b) / max(abs(a), abs(b)):.2e})"
-        lines.append(line)
+            rel = abs(a - b) / max(abs(a), abs(b))
+        out.append((key, a, b, rel))
+    return out
+
+
+def summary_lines(key_diffs, outcome_changes):
+    """Largest relative difference per report key over all ops, then the changed outcomes."""
+    worst = {}  # key -> (relative difference, larger |value| of that pair), or None
+    for key, a, b, rel in key_diffs:
+        previous = worst.get(key, (0.0, 0.0))
+        if rel is None or previous is None:
+            worst[key] = None
+        elif rel >= previous[0]:
+            worst[key] = (rel, max(abs(a), abs(b)))
+    lines = [f"{len(worst)} report key(s) differ; largest relative difference over all ops:"]
+    lines += [f"  {key}: " + ("non-numeric change" if pair is None
+                              else f"{pair[0]:.2e} at |value| {pair[1]:.2e}")
+              for key, pair in sorted(worst.items())]
+    lines.append(f"{len(outcome_changes)} op(s) changed exit code, steps or stop_reason"
+                 + (":" if outcome_changes else ""))
+    lines += [f"  {label}: {change}" for label, change in outcome_changes]
     return lines
 
 
@@ -132,7 +158,7 @@ def main(argv=None):
             parser.error(f"no library source at {src}")
 
     workloads = load_workloads()
-    differing = []
+    differing, key_diffs, outcome_changes = [], [], []
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         for seed in args.seeds:
             for index, (kind, op_args) in enumerate(distinct_ops(workloads)):
@@ -145,10 +171,21 @@ def main(argv=None):
                 diffs = differences(*runs)  # exit code and directory of each side
                 print(f"{'DIFF' if diffs else 'same'}  {label}"
                       + (f"  ({'; '.join(diffs)})" if diffs else ""), flush=True)
-                if "report.json differs" in diffs:
-                    print(*report_key_differences(runs[1], runs[3]), sep="\n", flush=True)
+                first, second = load_reports(runs[1], runs[3])
+                op_diffs = report_key_differences(first, second)
+                for key, a, b, rel in op_diffs:
+                    print(f"    {key}: {a!r} -> {b!r}"
+                          + ("" if rel is None else f"  (relative difference {rel:.2e})"),
+                          flush=True)
+                key_diffs += op_diffs
+                changed = [f"exit {runs[0]} -> {runs[2]}"] if runs[0] != runs[2] else []
+                changed += [f"{key} {a!r} -> {b!r}" for key, a, b, _ in op_diffs
+                            if key in ("steps", "stop_reason")]
+                if changed:
+                    outcome_changes.append((label, "; ".join(changed)))
                 if diffs:
                     differing.append(label)
+    print(*summary_lines(key_diffs, outcome_changes), sep="\n")
     if differing:
         print(f"{len(differing)} op(s) differ:", *differing, sep="\n  ")
         return 1
