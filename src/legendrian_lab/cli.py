@@ -57,12 +57,20 @@ def _validate(args):
             _usage_error(f"--{name} must be positive")
     if args.epsilon < 0:
         _usage_error("--epsilon must be nonnegative")
+    if args.seed < 0:
+        _usage_error(f"--seed must be nonnegative, got {args.seed}")
     if args.surface != "legendrian-torus":
         for name in ("epsilon", "theta"):
             if getattr(args, name) != 0.0:
                 _usage_error(f"--{name} applies to the legendrian-torus family only")
     if getattr(args, "max_steps", 1) < 1:
         _usage_error("--max-steps must be at least 1")
+    if args.command == "flow" and args.surface != "legendrian-torus":
+        _usage_error("flow runs on the legendrian-torus family only")
+    try:  # before any work, so an unusable --out costs nothing
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        _usage_error(f"--out {args.out!r} is not a usable directory: {exc.strerror}")
 
 
 def _build_grid(args, n=None, mode="generic"):
@@ -246,8 +254,6 @@ def cmd_integrals(args):
 
 def cmd_flow(args):
     _validate(args)
-    if args.surface != "legendrian-torus":
-        _usage_error("flow runs on the legendrian-torus family only")
     g = _build_grid(args, mode="stable")
     result = flow.run_flow(g, tau0=args.tau0, max_steps=args.max_steps, tol=args.tol)
     rep = result.report

@@ -120,11 +120,12 @@ def _generic_normals(p, e1, e2):
     return normals
 
 
-def adapted_frame(jet: Jet2, legendrian_tol=LEGENDRIAN_FRAME_TOL) -> AdaptedFrame:
+def adapted_frame(jet: Jet2) -> AdaptedFrame:
     """Gram-Schmidt tangent frame plus the matching normal frame.
 
     The Legendrian normal frame (J E1, J E2, R) is used when the whole
-    batch has max |alpha(d_i)| <= legendrian_tol; batches are not mixed.
+    batch has max |alpha(d_i)| <= LEGENDRIAN_FRAME_TOL (read at call
+    time); batches are not mixed.
     """
     p = jet.value
     # discrete jets carry an O(scheme) radial part; remove it so the full
@@ -153,8 +154,8 @@ def adapted_frame(jet: Jet2, legendrian_tol=LEGENDRIAN_FRAME_TOL) -> AdaptedFram
 
     au, av = legendrian_residual(jet)
     res = np.maximum(np.abs(au), np.abs(av))
-    return AdaptedFrame(E1=e1, E2=e2, coeff=coeff, legendrian=bool(np.max(res) <= legendrian_tol),
-                        p=p, legendrian_residual=res)
+    return AdaptedFrame(E1=e1, E2=e2, coeff=coeff, p=p, legendrian_residual=res,
+                        legendrian=bool(np.max(res) <= LEGENDRIAN_FRAME_TOL))
 
 
 @dataclass(frozen=True)

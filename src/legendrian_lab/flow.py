@@ -40,8 +40,7 @@ import numpy as np
 
 from . import contact, grid_ops, grids
 from .contact import dot
-from .immersions import (GridSurface, _variation_field, first_fundamental_form,
-                         variation_field_on_positions)
+from .immersions import GridSurface, first_fundamental_form, variation_field_on_positions
 from .report import Report
 
 FLOW_LEGENDRIAN_ABORT = 1e-3
@@ -82,7 +81,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
         raise ValueError("finite-difference step eps must lie in (0, 1e-2]")
     geo.check_legendrian(what="first_variation_check")
     f = np.asarray(f, dtype=float)
-    v = _variation_field(geo.jet.value, geo.jet.du, geo.jet.dv, f, (geo.d(f, 0), geo.d(f, 1)))
+    v = variation_field_on_positions(geo.surface, f, (geo.d(f, 0), geo.d(f, 1)))
 
     geometric = -2.0 * grid_ops.quadrature(dot(geo.data.Hvec, v), geo)
     div, _ = grid_ops.div_JH(geo)
@@ -95,7 +94,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
 
 def _aliased_band(n):
     """Fourier modes cut by the 2/3 rule (J. Atmos. Sci. 28, 1971): |k_u| or |k_v| >= n/3."""
-    cut = np.abs(np.fft.fftfreq(n, d=1.0 / n)) >= n / 3
+    cut = np.abs(grids.frequencies(n)) >= n / 3
     return cut[:, None] | cut[None, :]
 
 
@@ -107,7 +106,7 @@ def torus_jacobi_multiplier(n):
     Laplacian spectrum; Q = lambda(lambda-6)/4 the area Hessian on
     Legendrian potentials.  The array is cached and read-only.
     """
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = grids.frequencies(n)
     km, kn = np.meshgrid(k, k, indexing="ij")
     lam = 2.0 * (km**2 - km * kn + kn**2)
     q = lam * (lam - 6.0) / 4.0
@@ -121,13 +120,12 @@ def torus_jacobi_multiplier(n):
 def descent_potential(raw):
     """Smoothed, saddle-filtered and dealiased copy of the raw potential div(J0 H)."""
     raw = np.asarray(raw, dtype=float)
-    mult = torus_jacobi_multiplier(raw.shape[0])
-    return np.fft.ifft2(np.fft.fft2(raw) * mult).real
+    return grids.fourier_filter(raw, torus_jacobi_multiplier(raw.shape[0]))
 
 
 def _band_split(div, geo: grid_ops.DerivedGeometry):
     """L2 norms of div's 2/3-rule passband and cut-band parts, as div_JH_l2 is taken."""
-    band = np.fft.ifft2(np.fft.fft2(div) * _aliased_band(geo.n)).real
+    band = grids.fourier_filter(div, _aliased_band(geo.n))
     return tuple(float(np.sqrt(grid_ops.quadrature(part**2, geo))) for part in (div - band, band))
 
 
@@ -199,10 +197,10 @@ def flow_step(state: FlowState) -> FlowState:
     """
     _check_drift(state.geo, state.step_index)
     f = descent_potential(state.div_JH)
-    p = state.surface.positions
-    scheme = state.surface.scheme
+    surface = state.surface
+    p, scheme = surface.positions, surface.scheme
     df = (grids.deriv(f, 0, scheme), grids.deriv(f, 1, scheme))  # f is frozen over the step
-    v1 = _variation_field(p, state.geo.jet.du, state.geo.jet.dv, f, df)
+    v1 = variation_field_on_positions(surface, f, df)
     vmax = float(np.max(contact.norm(v1)))
     if vmax == 0.0:
         state.stalled = True
@@ -210,25 +208,25 @@ def flow_step(state: FlowState) -> FlowState:
 
     area = state.area
     tau = min(state.tau, STEP_CAP / vmax)
-    surface = None
+    accepted = None
     for halvings in range(MAX_HALVINGS + 1):
         if tau < TAU_UNDERFLOW:
             break
-        half = contact.normalize(p + 0.5 * tau * v1)
-        trial = contact.normalize(p + tau * variation_field_on_positions(half, f, scheme, df))
+        half = surface.with_positions(contact.normalize(p + 0.5 * tau * v1))
+        trial = contact.normalize(p + tau * variation_field_on_positions(half, f, df))
         if np.all(np.isfinite(trial)):  # a non-finite trial halves, as a larger area does
-            trial = state.surface.with_positions(trial)
+            trial = surface.with_positions(trial)
             if area_of_positions(trial) < area:
-                surface = trial  # geometry below reuses the derivatives the area took
+                accepted = trial  # geometry below reuses the derivatives the area took
                 break
         tau *= 0.5
-    if surface is None:
+    if accepted is None:
         state.stalled = True
         return state
 
-    geo = grid_ops.derived_geometry(surface)
+    geo = grid_ops.derived_geometry(accepted)
     div, residuals = _diagnostics(geo, state.step_index + 1)
-    state.surface, state.geo, state.div_JH = surface, geo, div
+    state.surface, state.geo, state.div_JH = accepted, geo, div
     state.step_index += 1
     state.tau = min(tau * 1.5, state.tau0)
     state.area_history.append(grid_ops.surface_area(geo))

@@ -68,28 +68,16 @@ class DerivedGeometry:
     def d(self, field, axis):
         return grids.deriv(field, axis, self.scheme)
 
-    def d_frame(self, field, k):
-        """Directional derivative along the orthonormal tangent E_k."""
-        field = np.asarray(field, dtype=float)
-        c0 = self.frame.coeff[..., k, 0]
-        c1 = self.frame.coeff[..., k, 1]
-        extra = (1,) * (field.ndim - c0.ndim)
-        c0 = c0.reshape(c0.shape + extra)
-        c1 = c1.reshape(c1.shape + extra)
-        return c0 * self.d(field, 0) + c1 * self.d(field, 1)
+    def d_frame(self, field):
+        """Directional derivatives (D_E1, D_E2) of field from one pair of coordinate derivatives."""
+        du, dv = self.d(field, 0), self.d(field, 1)
+        c = self.frame.coeff.reshape(self.frame.coeff.shape + (1,) * (field.ndim - 2))
+        return tuple(c[:, :, k, 0] * du + c[:, :, k, 1] * dv for k in range(2))
 
     def tangential_components(self, w):
         """Contravariant components w^a of the tangential part of w."""
         cov = np.stack([dot(w, self.jet.du), dot(w, self.jet.dv)], axis=-1)
         return np.einsum("...ab,...b->...a", self.data.ginv, cov)
-
-    def project_normal(self, w):
-        """Projection onto the normal bundle within T S^5."""
-        p = self.jet.value
-        out = w - dot(w, p)[..., None] * p
-        for e in self.frame.tangents():
-            out = out - dot(out, e)[..., None] * e
-        return out
 
     def check_legendrian(self, tol=LEGENDRIAN_OP_TOL, what="operation"):
         res = float(np.max(self.data.legendrian_residual))
@@ -156,7 +144,7 @@ def intrinsic_gauss_curvature(geo: DerivedGeometry):
 
 
 def check_normal_field(v, geo: DerivedGeometry, what="field"):
-    dev = float(np.max(contact.norm(v - geo.project_normal(v))))
+    dev = float(np.max(contact.norm(v - geo.frame.normal_part(v))))
     scale = max(1.0, float(np.max(contact.norm(v))))
     if not dev <= NORMAL_FIELD_TOL * scale:
         raise ValueError(f"{what} is not a normal field: deviation {dev:.3e}")
@@ -166,7 +154,7 @@ def covariant_derivative_normal(v, geo: DerivedGeometry):
     """nabla^nu_i V for i = u, v: sphere connection then normal projection."""
     p = geo.jet.value
     tangents = (geo.jet.du, geo.jet.dv)
-    return [geo.project_normal(contact.sphere_connection(p, v, geo.d(v, i), tangents[i]))
+    return [geo.frame.normal_part(contact.sphere_connection(p, v, geo.d(v, i), tangents[i]))
             for i in range(2)]
 
 
@@ -188,15 +176,14 @@ def _connection_laplacian(first, geo: DerivedGeometry, project):
     return out
 
 
-def normal_laplacian(v, geo: DerivedGeometry, check=True):
+def normal_laplacian(v, geo: DerivedGeometry):
     """Connection Laplacian on the normal bundle, negative spectrum.
 
     Delta^nu V = g^{ij} (nabla^nu_i nabla^nu_j V - Gamma^k_ij nabla^nu_k V).
     """
     v = np.asarray(v, dtype=float)
-    if check:
-        check_normal_field(v, geo, what="normal_laplacian input")
-    return _connection_laplacian(covariant_derivative_normal(v, geo), geo, geo.project_normal)
+    check_normal_field(v, geo, what="normal_laplacian input")
+    return _connection_laplacian(covariant_derivative_normal(v, geo), geo, geo.frame.normal_part)
 
 
 def div_JH(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
@@ -222,7 +209,7 @@ def el_residual(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
     """Stationarity residual -Delta^nu H + K H as a normal field."""
     geo.check_legendrian(tol=legendrian_tol, what="el_residual")
     h = geo.data.Hvec
-    return -normal_laplacian(h, geo, check=False) + geo.data.K[..., None] * h
+    return -normal_laplacian(h, geo) + geo.data.K[..., None] * h
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +292,9 @@ def ker_alpha_normal_field(geo: DerivedGeometry, c1, c2):
     r = j_apply(geo.jet.value)
     v = np.asarray(c1)[..., None] * geo.frame.N1 + np.asarray(c2)[..., None] * geo.frame.N2
     for _ in range(3):
-        v = geo.project_normal(v)
+        v = geo.frame.normal_part(v)
         v = v - contact.contact_form(geo.jet.value, v, check=False)[..., None] * r
-    return geo.project_normal(v)
+    return geo.frame.normal_part(v)
 
 
 def omega_commutation_residual(v, geo: DerivedGeometry):
@@ -336,7 +323,7 @@ def omega_commutation_residual(v, geo: DerivedGeometry):
     first_full = covariant_derivative_normal(v, geo)
     discrepancy = max(float(np.max(np.abs(dot(w, r)))) for w in first_full)
     first = [proj_ker(w) for w in first_full]
-    lap = _connection_laplacian(first, geo, lambda w: proj_ker(geo.project_normal(w)))
+    lap = _connection_laplacian(first, geo, lambda w: proj_ker(geo.frame.normal_part(w)))
     rhs = omega_contraction(lap, geo)
     return lhs - rhs, discrepancy
 
@@ -348,7 +335,7 @@ def reeb_pairing_residual(geo: DerivedGeometry):
     stationarity conditions; it holds without assuming stationarity.
     """
     geo.check_legendrian(what="reeb_pairing_residual")
-    lap = normal_laplacian(geo.data.Hvec, geo, check=False)
+    lap = normal_laplacian(geo.data.Hvec, geo)
     pairing = dot(lap, j_apply(geo.jet.value))
     div, _ = div_JH(geo)
     return pairing - 2.0 * div
@@ -407,8 +394,8 @@ def normal_gradient_H_squared(geo: DerivedGeometry):
     e = geo.frame.tangents()
     hvec = geo.data.Hvec
     out = np.zeros(p.shape[:-1])
-    for k in range(2):
-        w = geo.project_normal(contact.sphere_connection(p, hvec, geo.d_frame(hvec, k), e[k]))
+    for k, dh in enumerate(geo.d_frame(hvec)):
+        w = geo.frame.normal_part(contact.sphere_connection(p, hvec, dh, e[k]))
         out = out + dot(w, w)
     return out
 
@@ -424,26 +411,25 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
 
     # tangential frame connection omega[k, a, b] = <D_k E_a, E_b>
     omega = np.empty(p.shape[:-1] + (2, 2, 2))
-    de = [[geo.d_frame(e[a], k) for a in range(2)] for k in range(2)]
-    for k in range(2):
-        for a in range(2):
+    for a in range(2):
+        for k, de in enumerate(geo.d_frame(e[a])):
             for b in range(2):
-                omega[..., k, a, b] = dot(de[k][a], e[b])
+                omega[..., k, a, b] = dot(de, e[b])
     # normal connection sigma[k, beta, gamma] = <D_k N_beta, N_gamma>
     sigma = np.empty(p.shape[:-1] + (2, 3, 3))
-    dn = [[geo.d_frame(normals[b], k) for b in range(3)] for k in range(2)]
-    for k in range(2):
-        for b in range(3):
+    for b in range(3):
+        for k, dn in enumerate(geo.d_frame(normals[b])):
             for g in range(3):
-                sigma[..., k, b, g] = dot(dn[k][b], normals[g])
+                sigma[..., k, b, g] = dot(dn, normals[g])
 
-    # frame-free full covariant derivative of B (vector route)
+    # frame-free full covariant derivative of B (vector route), one (a, b)
+    # slice differentiated at a time
     full_h2 = np.zeros(p.shape[:-1])
-    for k in range(2):
-        for a in range(2):
-            for b in range(2):
-                bab = bhat[..., a, b, :]
-                w = geo.project_normal(contact.sphere_connection(p, bab, geo.d_frame(bab, k), e[k]))
+    for a in range(2):
+        for b in range(2):
+            bab = bhat[..., a, b, :]
+            for k, dbab in enumerate(geo.d_frame(bab)):
+                w = geo.frame.normal_part(contact.sphere_connection(p, bab, dbab, e[k]))
                 w = w - sum(omega[..., k, a, l, None] * bhat[..., l, b, :] for l in range(2))
                 w = w - sum(omega[..., k, b, l, None] * bhat[..., a, l, :] for l in range(2))
                 full_h2 = full_h2 + dot(w, w)
@@ -455,14 +441,12 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     hcomp = geo.data.Hcomp
     tangential_h2 = np.zeros_like(full_h2)
     tangential_H2 = np.zeros_like(full_H2)
-    for k in range(2):
-        dH = np.stack([geo.d_frame(hcomp[..., b], k) for b in range(3)], axis=-1)
+    for k, (dH, dh) in enumerate(zip(geo.d_frame(hcomp), geo.d_frame(h[..., :2, :, :]))):
         Hk = dH - np.einsum("...bg,...g->...b", sigma[..., k, :, :], hcomp)
         tangential_H2 = tangential_H2 + Hk[..., 0] ** 2 + Hk[..., 1] ** 2
         for b in range(2):
-            dh = geo.d_frame(h[..., b, :, :], k)
             habk = (
-                dh
+                dh[..., b, :, :]
                 - np.einsum("...g,...gij->...ij", sigma[..., k, b, :], h)
                 - np.einsum("...il,...lj->...ij", omega[..., k, :, :], h[..., b, :, :])
                 - np.einsum("...jl,...il->...ij", omega[..., k, :, :], h[..., b, :, :])

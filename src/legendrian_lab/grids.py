@@ -11,6 +11,9 @@ First-derivative stencils are antisymmetric circulants, so summation by
 parts sum (D f) g = -sum f (D g) holds exactly on the grid for every
 scheme; divergence-form quantities therefore integrate to zero to
 rounding.
+
+The module is also the one home of the Fourier convention: integer
+frequencies in FFT order and a real 2-D filter by an even multiplier.
 """
 
 from __future__ import annotations
@@ -80,6 +83,16 @@ def deriv(f, axis, scheme, order=1):
             - _shift(f, -2, axis)
         ) / (12 * h**2)
     raise ValueError(f"unsupported derivative order {order}")
+
+
+def frequencies(n):
+    """Integer Fourier frequencies of n points in FFT order: 0, 1, ..., -1."""
+    return np.fft.fftfreq(n, d=1.0 / n)
+
+
+def fourier_filter(f, mult):
+    """Real part of ifft2(fft2(f) * mult) for an (n, n) multiplier even in k, by rfft2/irfft2."""
+    return np.fft.irfft2(np.fft.rfft2(f) * mult[:, : f.shape[1] // 2 + 1], s=f.shape)
 
 
 def grid_nodes(n):

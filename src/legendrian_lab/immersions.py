@@ -304,28 +304,22 @@ def first_fundamental_form(xu, xv):
     return E, F, G, E * G - F**2
 
 
-def variation_field_on_positions(positions, f, scheme, df):
+def variation_field_on_positions(surface: GridSurface, f, df):
     """Legendrian variation V_f = f R + (1/2) J0 grad_g f, with alpha(V_f) = f.
 
-    The metric is taken from the positions with the given scheme; df is
-    (f_u, f_v), taken once by the caller for all the positions it tries.
+    The metric is taken from the surface's (cached) first derivatives; df
+    is (f_u, f_v), taken once by the caller for all the surfaces it tries.
     The 1/2 is forced by d(alpha) = 2 sum dx ^ dy: it is the unique
     scaling for which the deformation preserves alpha(d_i) = 0 to first
     order (the drift is quadratic in the displacement).
     """
-    xu = grids.deriv(positions, 0, scheme)
-    xv = grids.deriv(positions, 1, scheme)
-    return _variation_field(positions, xu, xv, f, df)
-
-
-def _variation_field(positions, xu, xv, f, df):
-    """V_f from positions with known first derivatives xu, xv and df = (f_u, f_v)."""
+    xu, xv = surface.first_derivatives
     g11, g12, g22, det = first_fundamental_form(xu, xv)
     fu, fv = df
     cu = (g22 * fu - g12 * fv) / det
     cv = (-g12 * fu + g11 * fv) / det
     grad = cu[..., None] * xu + cv[..., None] * xv
-    return f[..., None] * contact.j_apply(positions) + 0.5 * contact.j_apply(grad)
+    return f[..., None] * contact.j_apply(surface.positions) + 0.5 * contact.j_apply(grad)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,8 @@ def test_flow_csv_byte_identical_across_runs(tmp_path):
     (["verify", "--surface", "clifford-s3", "--theta", "1.0"],
      "--theta applies to the legendrian-torus family only"),
     (["integrals", "--tol", "1e-3"], "unrecognized arguments"),
+    (["verify", "--seed", "-1"], "--seed must be nonnegative"),
+    (["integrals", "--epsilon", "0.02", "--seed", "-5"], "--seed must be nonnegative"),
 ])
 def test_usage_errors_exit_2_without_reports(argv, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
@@ -183,3 +185,18 @@ def test_usage_errors_exit_2_without_reports(argv, message, tmp_path, capsys):
     assert err.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "integrals", "flow"])
+def test_out_naming_a_file_is_a_usage_error_before_any_work(command, tmp_path, capsys,
+                                                            monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    monkeypatch.setattr(cli, "_build_grid", lambda *a, **k: pytest.fail("work started"))
+    monkeypatch.setattr(cli, "_pointwise_suite", lambda *a: pytest.fail("work started"))
+    for out in (taken, taken / "sub"):
+        with pytest.raises(SystemExit) as err:
+            run_cli([command, "--out", str(out)])
+        assert err.value.code == 2
+        assert f"--out {str(out)!r}" in capsys.readouterr().err
+    assert taken.read_text() == "keep\n"

@@ -121,7 +121,7 @@ def test_umbilic_iff_rho2_vanishes():
     assert np.max(np.abs(tracefree_t)) > 0.5
 
 
-def test_symmetry_defect_bounded_by_legendrian_residual():
+def test_symmetry_defect_bounded_by_legendrian_residual(monkeypatch):
     """On a drifted grid the 3-symmetry degrades no worse than 10x the drift.
 
     The regime is only meaningful when the drift dominates the scheme
@@ -130,16 +130,16 @@ def test_symmetry_defect_bounded_by_legendrian_residual():
     """
     from legendrian_lab import grids
 
-    p = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32,
-                                    "spectral").positions
+    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32, "spectral")
     uu, vv = grids.grid_nodes(32)
     f = 1e-3 * np.cos(uu) + 7e-4 * np.sin(vv)
     df = (grids.deriv(f, 0, "spectral"), grids.deriv(f, 1, "spectral"))
-    moved = contact.normalize(p + immersions.variation_field_on_positions(p, f, "spectral", df))
+    moved = contact.normalize(g.positions + immersions.variation_field_on_positions(g, f, df))
     jet = immersions.GridSurface(positions=moved, scheme="spectral").jets()
     drift = max(float(np.max(np.abs(a))) for a in extrinsic.legendrian_residual(jet))
     assert 1e-8 < drift <= 1e-6
-    frame = extrinsic.adapted_frame(jet, legendrian_tol=1e-5)
+    monkeypatch.setattr(extrinsic, "LEGENDRIAN_FRAME_TOL", 1e-5)
+    frame = extrinsic.adapted_frame(jet)
     assert frame.legendrian
     data = extrinsic.extrinsic_data(jet, frame)
     ident = extrinsic.pointwise_identity_residuals(jet, frame, data)

@@ -22,8 +22,7 @@ def converged_flow():
 
 
 def _variation_field(geo, f):
-    return immersions.variation_field_on_positions(geo.jet.value, f, geo.scheme,
-                                                   (geo.d(f, 0), geo.d(f, 1)))
+    return immersions.variation_field_on_positions(geo.surface, f, (geo.d(f, 0), geo.d(f, 1)))
 
 
 def test_variation_field_constant_gives_pure_reeb(geometry_cache):
@@ -251,9 +250,9 @@ def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_pa
     calls, trials = [], []
     laplacian, area = grid_ops.normal_laplacian, flow.area_of_positions
 
-    def counted(v, geo, check=True):
+    def counted(v, geo):
         calls.append(geo)
-        return laplacian(v, geo, check=check)
+        return laplacian(v, geo)
 
     def counted_area(surface):
         trials.append(surface)
@@ -374,17 +373,21 @@ def test_stop_reason_stalled_when_every_trial_underflows():
 
 
 def test_non_finite_trial_is_halved_like_a_larger_area(monkeypatch):
-    """A trial with non-finite positions is rejected and halved, not raised."""
+    """A trial with non-finite positions is rejected and halved, not raised.
+
+    The step's first call of the field is v1 on the current surface; the
+    second is the first trial's midpoint field, which is made non-finite.
+    """
     field, calls = flow.variation_field_on_positions, []
 
-    def nan_first(*args):
+    def nan_on_first_trial(*args):
         calls.append(1)
         v = field(*args)
-        return np.full_like(v, np.nan) if len(calls) == 1 else v
+        return np.full_like(v, np.nan) if len(calls) == 2 else v
 
     plain = flow.start_flow(_stable_start(n=16))
     flow.flow_step(plain)
-    monkeypatch.setattr(flow, "variation_field_on_positions", nan_first)
+    monkeypatch.setattr(flow, "variation_field_on_positions", nan_on_first_trial)
     state = flow.start_flow(_stable_start(n=16))
     flow.flow_step(state)
     assert state.step_index == 1 and not state.stalled

@@ -269,7 +269,7 @@ def test_euler_perturbation_along_stable_mode_increases_area():
     uu, _ = grids.grid_nodes(32)
     f = 0.02 * np.cos(2 * uu)
     df = (grids.deriv(f, 0, "spectral"), grids.deriv(f, 1, "spectral"))
-    v = immersions.variation_field_on_positions(g.positions, f, "spectral", df)
+    v = immersions.variation_field_on_positions(g, f, df)
     geo = grid_ops.derived_geometry(g.with_positions(contact.normalize(g.positions + v)))
     assert grid_ops.surface_area(geo) > A_TORUS + 1e-6
 

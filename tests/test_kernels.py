@@ -5,9 +5,9 @@ _generic_normals must give the same bits as the general contractions,
 not merely close values, and the shared connection-Laplacian loop must
 give the same bits as the two loops it merges.  The same holds for the
 scalar operators and the Hamiltonian basis matrices rewritten without
-changing their arithmetic.  The frame-free H, S = |Bhat|^2 and the real
-FFT derivative change the arithmetic on purpose; they are held to
-stated tolerances.
+changing their arithmetic.  The frame-free H, S = |Bhat|^2, the real
+FFT derivative and the real 2-D Fourier filter change the arithmetic on
+purpose; they are held to stated tolerances.
 """
 
 import dataclasses
@@ -82,12 +82,12 @@ def _reference_normal_laplacian(v, geo):
     first = []
     for i in range(2):
         w = geo.d(v, i) + dot(tangents[i], v)[..., None] * p
-        first.append(geo.project_normal(w))
+        first.append(geo.frame.normal_part(w))
     out = np.zeros_like(v)
     for i in range(2):
         for j in range(2):
             w = geo.d(first[j], i) + dot(tangents[i], first[j])[..., None] * p
-            second = geo.project_normal(w)
+            second = geo.frame.normal_part(w)
             corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
             out = out + geo.data.ginv[..., i, j, None] * (second - corr)
     return out
@@ -104,14 +104,14 @@ def _reference_omega_commutation(v, geo):
     first_full = []
     for i in range(2):
         w = geo.d(v, i) + dot(tangents[i], v)[..., None] * p
-        first_full.append(geo.project_normal(w))
+        first_full.append(geo.frame.normal_part(w))
     discrepancy = max(float(np.max(np.abs(dot(w, r)))) for w in first_full)
     first = [proj_ker(w) for w in first_full]
     lap = np.zeros_like(v)
     for i in range(2):
         for j in range(2):
             w = geo.d(first[j], i) + dot(tangents[i], first[j])[..., None] * p
-            second = proj_ker(geo.project_normal(w))
+            second = proj_ker(geo.frame.normal_part(w))
             corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
             lap = lap + geo.data.ginv[..., i, j, None] * (second - corr)
     return lhs - grid_ops.omega_contraction(lap, geo), discrepancy
@@ -245,7 +245,7 @@ def test_generic_normals_match_per_round_projection_on_flowed_grid(flowed_geo):
 def test_connection_laplacians_match_their_double_loops(case, geometry_cache, flowed_geo):
     geo = flowed_geo if case == "flowed" else geometry_cache("torus", 32, case, eps=0.02)
     h = geo.data.Hvec
-    assert np.array_equal(grid_ops.normal_laplacian(h, geo, check=False),
+    assert np.array_equal(grid_ops.normal_laplacian(h, geo),
                           _reference_normal_laplacian(h, geo))
     uu, vv = grids.grid_nodes(geo.n)
     w = grid_ops.ker_alpha_normal_field(geo, 0.3 + 0.1 * np.cos(uu), 0.2 * np.sin(vv))
@@ -296,6 +296,33 @@ def test_rfft_derivative_matches_the_complex_fft_formula(n):
             assert err <= 8 * np.spacing(np.max(np.abs(expected))), (order, axis)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("multiplier", ["descent", "band"])
+def test_real_fourier_filter_matches_the_complex_fft2_formula(n, multiplier):
+    """Both flow multipliers are even in k, which the real filter needs."""
+    mult = flow.torus_jacobi_multiplier(n) if multiplier == "descent" else flow._aliased_band(n)
+    assert np.array_equal(mult, np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))  # mult(-k) = mult(k)
+    f = np.random.default_rng(n).standard_normal((n, n))
+    expected = np.fft.ifft2(np.fft.fft2(f) * mult).real
+    assert np.max(np.abs(grids.fourier_filter(f, mult) - expected)) <= 1e-15 * np.max(np.abs(f))
+
+
+def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkeypatch):
+    """One pair of coordinate derivatives per field gives both frame directions."""
+    geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral",
+                                                               seed=0, mode="generic"))
+    assert geo.frame.legendrian
+    deriv, calls = grids.deriv, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return deriv(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "deriv", counted)
+    grid_ops.gradient_norm_decomposition(geo)
+    assert len(calls) <= 24
+
+
 def test_nyquist_mode_has_zero_first_and_exact_second_derivative():
     n = 16
     uu, _ = grids.grid_nodes(n)
@@ -319,7 +346,7 @@ def test_frame_free_H_matches_the_normal_frame_sum_on_catalog_surfaces(kind, geo
     assert np.max(np.abs(geo.data.Hvec - _frame_sum_H(geo.data, geo.frame))) <= 1e-13 * scale
 
 
-def test_frame_free_H_moves_at_the_legendrian_residual_on_a_flowed_grid(flowed_geo):
+def test_frame_free_H_moves_at_the_legendrian_residual_on_a_flowed_grid(flowed_geo, monkeypatch):
     """Off a Legendrian surface J E1, J E2, R leave the normal space by O(residual).
 
     So with that frame forced, the frame sum differs from the normal
@@ -331,7 +358,8 @@ def test_frame_free_H_moves_at_the_legendrian_residual_on_a_flowed_grid(flowed_g
     generic = np.max(np.abs(flowed_geo.data.Hvec - _frame_sum_H(flowed_geo.data,
                                                                 flowed_geo.frame)))
     assert generic <= 1e-13 * scale
-    frame = extrinsic.adapted_frame(jet, legendrian_tol=1e-6)
+    monkeypatch.setattr(extrinsic, "LEGENDRIAN_FRAME_TOL", 1e-6)
+    frame = extrinsic.adapted_frame(jet)
     assert frame.legendrian and res > 1e-8
     data = extrinsic.extrinsic_data(jet, frame)
     assert np.max(np.abs(data.Hvec - _frame_sum_H(data, frame))) <= scale * res

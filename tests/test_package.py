@@ -34,3 +34,24 @@ def test_every_public_function_is_exported_or_called_by_the_library():
               if not name.startswith("_") and name not in legendrian_lab.__all__
               and name not in referenced]
     assert unused == []
+
+
+def _uses_numpy_fft(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            return True
+        if isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("numpy.fft")
+                or (node.module == "numpy" and any(a.name == "fft" for a in node.names))):
+            return True
+    return False
+
+
+def test_only_grids_uses_numpy_fft():
+    """One Fourier convention: frequencies, derivatives and filters live in grids."""
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if _uses_numpy_fft(ast.parse(path.read_text()))]
+    assert users == ["grids.py"]
