@@ -192,14 +192,11 @@ def cmd_verify(args):
 
     surf = immersions.catalog(args.surface, theta=args.theta)
     if all(surf.periodic):
-        g1 = _build_grid(args)
-        geo1 = grid_ops.derived_geometry(g1)
-        legendrian = geo1.frame.legendrian
-        if legendrian:
-            g2 = _build_grid(args, n=2 * args.grid)
-            geo2 = grid_ops.derived_geometry(g2)
+        geo1 = grid_ops.derived_geometry(_build_grid(args))
+        if geo1.frame.legendrian:
             r1 = _residual_pack(geo1)
-            r2 = _residual_pack(geo2)
+            del geo1  # freed before the 2N grid, whose residual pack sets the peak
+            r2 = _residual_pack(grid_ops.derived_geometry(_build_grid(args, n=2 * args.grid)))
             min_order = _MIN_ORDER.get(args.scheme)
             for key in r1:
                 rep.set(f"{key}_res_N", r1[key])

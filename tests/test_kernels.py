@@ -262,6 +262,12 @@ def test_cached_fourier_multipliers_are_read_only():
         mult[0, 0] = 2.0
     with pytest.raises(ValueError):
         grids._fourier_multiplier(16, 1)[0] = 1.0
+    for scheme in grids.SCHEMES:
+        for order in (1, 2):
+            mat = grids._diff_matrix(16, scheme, order)
+            assert mat is grids._diff_matrix(16, scheme, order)
+            with pytest.raises(ValueError):
+                mat[0, 1] = 1.0
 
 
 def test_spectral_deriv_unchanged_by_multiplier_cache():
@@ -281,19 +287,77 @@ def test_spectral_deriv_unchanged_by_multiplier_cache():
             assert err <= 4 * np.spacing(np.max(np.abs(expected)))
 
 
+COMPONENTS = [(), (2,), (6,), (2, 2)]  # scalars, one-forms, ambient vectors, 2x2 tensors
+
+
 @pytest.mark.parametrize("n", [16, 64])
 def test_rfft_derivative_matches_the_complex_fft_formula(n):
+    """Both spectral paths, the rfft pair and the matrix product, on every field shape."""
     rng = np.random.default_rng(n)
-    f = rng.standard_normal((n, n))
     k = np.fft.fftfreq(n, d=1.0 / n)
     first = 1j * k
     first[n // 2] = 0.0  # the Nyquist mode has no odd derivative
-    for order, mult in ((1, first), (2, -k**2)):
-        for axis in (0, 1):
-            shape = (n, 1) if axis == 0 else (1, n)
-            expected = np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis).real
-            err = np.max(np.abs(grids.deriv(f, axis, "spectral", order) - expected))
-            assert err <= 8 * np.spacing(np.max(np.abs(expected))), (order, axis)
+    for components in COMPONENTS:
+        f = rng.standard_normal((n, n) + components)
+        for order, mult in ((1, first), (2, -k**2)):
+            for axis in (0, 1):
+                shape = [1] * f.ndim
+                shape[axis] = n
+                expected = np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape),
+                                       axis=axis).real
+                bound = 8 * np.spacing(np.max(np.abs(expected)))
+                for path in (grids._direct_deriv, grids._matrix_deriv):
+                    err = np.max(np.abs(path(f, axis, "spectral", order) - expected))
+                    assert err <= bound, (path.__name__, components, order, axis)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("scheme", grids.SCHEMES)
+def test_matrix_derivative_matches_the_direct_path(scheme, n):
+    """One GEMM against the rfft pair or shifted stencil, to 8 ulp of the largest derivative."""
+    rng = np.random.default_rng(n)
+    for components in COMPONENTS:
+        f = rng.standard_normal((n, n) + components)
+        for order in (1, 2):
+            for axis in (0, 1):
+                direct = grids._direct_deriv(f, axis, scheme, order)
+                err = np.max(np.abs(grids._matrix_deriv(f, axis, scheme, order) - direct))
+                assert err <= 8 * np.spacing(np.max(np.abs(direct))), (components, order, axis)
+
+
+@pytest.mark.parametrize("n", [4, 15, 16, 64, grids._MATRIX_MAX_N])
+def test_first_derivative_matrices_are_exactly_antisymmetric(n):
+    """D.T == -D bit for bit, so summation by parts holds on the grid for every scheme."""
+    for scheme in grids.SCHEMES:
+        mat = grids._diff_matrix(n, scheme, 1)
+        assert np.array_equal(mat.T, -mat), scheme
+
+
+def test_deriv_takes_the_matrix_path_up_to_the_cutoff_and_the_direct_path_above():
+    rng = np.random.default_rng(3)
+    for n, path in ((grids._MATRIX_MAX_N, grids._matrix_deriv),
+                    (2 * grids._MATRIX_MAX_N, grids._direct_deriv)):
+        f = rng.standard_normal((n, n, 2))
+        for scheme in grids.SCHEMES:
+            for order in (1, 2):
+                for axis in (0, 1):
+                    grids._diff_matrix(grids._MATRIX_MAX_N, scheme, order)
+                    misses = grids._diff_matrix.cache_info().misses
+                    got = grids.deriv(f, axis, scheme, order)
+                    assert np.array_equal(got, path(f, axis, scheme, order)), (n, scheme)
+                    assert grids._diff_matrix.cache_info().misses == misses  # nothing built
+
+
+@pytest.mark.parametrize("scheme", grids.SCHEMES)
+@pytest.mark.parametrize("axis, order", [(2, 1), (-1, 1), (0, 0), (1, 3)],
+                         ids=["axis=2", "axis=-1", "order=0", "order=3"])
+def test_deriv_rejects_axes_and_orders_it_cannot_take(scheme, axis, order):
+    """Only axis 0 (u) or 1 (v) is periodic, and only orders 1 and 2 are defined."""
+    f = np.zeros((12, 12, 6))
+    misses = grids._diff_matrix.cache_info().misses
+    with pytest.raises(ValueError, match="axis" if order == 1 else "order"):
+        grids.deriv(f, axis, scheme, order)
+    assert grids._diff_matrix.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import legendrian_lab
@@ -55,3 +58,11 @@ def test_only_grids_uses_numpy_fft():
     users = [path.name for path in sorted(SRC.glob("*.py"))
              if _uses_numpy_fft(ast.parse(path.read_text()))]
     assert users == ["grids.py"]
+
+
+def test_importing_the_package_builds_no_differentiation_matrix():
+    """Matrices are built on first use, so a command's set-up pays for none."""
+    code = ("import legendrian_lab.cli, sys; from legendrian_lab import grids; "
+            "sys.exit(grids._diff_matrix.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

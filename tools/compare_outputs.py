@@ -36,8 +36,9 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # on the JH tangency error and so compares the error path; generic
 # (non-Legendrian) frames on the integrals and non-torus verify paths; the
 # integrals of a theta-shifted torus; the equatorial sphere, the one
-# catalog surface no other op runs; and a flow with a non-default tau0
-# that stops at max_steps
+# catalog surface no other op runs; a flow with a non-default tau0
+# that stops at max_steps; and a verify whose 2N = 256 grid is above
+# grids._MATRIX_MAX_N, so it compares the direct derivative path too
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -46,6 +47,7 @@ EXTRA_OPS = (
     ("integrals", ("--epsilon", "0.02", "--theta", "1.0")),
     ("verify", ("--surface", "equatorial-legendrian-sphere", "--grid", "32")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--tau0", "0.05", "--max-steps", "3")),
+    ("verify", ("--epsilon", "0.02", "--grid", "128")),
 )
 CHILD = """
 import sys
