@@ -3,9 +3,13 @@
 The descent potential is f = div(J0 H): among the Legendrian-preserving
 normal deformations V_f = f R + (1/2) J0 grad f, it gives
 dA = -int f^2 <= 0, and its zeros are exactly the contact stationary
-surfaces.  Four numerical safeguards wrap the raw direction; all four
-keep descent intact, and the stationarity metric ||div JH||_2 is always
-evaluated on the raw field:
+surfaces.  The flow runs on a LegendrianGraph, the torus
+arg z3 = h - arg z1 - arg z2, and a step h <- h + tau f / rho3 has
+contact component rho3 dh = f, that of V_f: the same first-order descent,
+and every iterate is Legendrian to rounding by construction.  Four
+numerical safeguards wrap the raw direction; all four keep descent
+intact, and the stationarity metric ||div JH||_2 is always evaluated on
+the raw field:
 
 * the potential is smoothed with the symmetric positive multiplier
   (1 + gamma Q(lambda))^{-1} in the flat Fourier basis, where
@@ -19,9 +23,9 @@ evaluated on the raw field:
 * the modes with |k_u| or |k_v| >= N/3 are removed (Orszag's 2/3 rule):
   there the raw div JH is mostly aliasing, and descending along it
   costs steps at every N and stalls the flow at N >= 64;
-* each step integrates the frozen-potential deformation with a midpoint
-  rule and caps the node displacement, keeping the Legendrian drift per
-  step at the integrator order rather than O(tau^2 |V|^2).
+* each step caps tau max|V_f|, the node displacement of the matching V_f
+  step, and a halving line search accepts only a trial that is a graph
+  and has a smaller area.
 
 The 2/3 cut adds fixed points: surfaces whose raw div JH lies in the cut
 band.  run_flow stops as "under-resolved" when the band part exceeds the
@@ -40,10 +44,10 @@ import numpy as np
 
 from . import contact, grid_ops, grids
 from .contact import dot
-from .immersions import GridSurface, first_fundamental_form, variation_field_on_positions
+from .immersions import (GridSurface, LegendrianGraph, first_fundamental_form,
+                         variation_field_on_positions)
 from .report import Report
 
-FLOW_LEGENDRIAN_ABORT = 1e-3
 TAU_UNDERFLOW = 1e-12
 MAX_HALVINGS = 20
 DEFAULT_TAU0 = 0.03
@@ -52,14 +56,6 @@ DEFAULT_TOL = 1e-4
 SMOOTHING = 0.02  # gamma of the multiplier (1 + gamma Q(lambda))^{-1}
 STEP_CAP = 2e-3  # largest node displacement of one step
 DIV_JH_FLOOR = 1e-10  # absolute stationarity target of run_flow
-
-
-class FlowAbort(ValueError):
-    """A surface failed the flow's Legendrian guards; reason is its stop_reason."""
-
-    def __init__(self, reason, message):
-        super().__init__(message)
-        self.reason = reason
 
 
 def area_of_positions(surface: GridSurface):
@@ -135,10 +131,10 @@ class FlowState:
 
     geo and div_JH are built once per accepted surface, for its
     diagnostics, and read again by the next flow_step and the final report.
-    Every field describes the last surface whose diagnostics passed.
+    Every field describes the last accepted surface.
     """
 
-    surface: GridSurface
+    surface: LegendrianGraph
     geo: grid_ops.DerivedGeometry
     div_JH: np.ndarray
     step_index: int = 0
@@ -155,30 +151,19 @@ class FlowState:
         return self.area_history[-1]
 
 
-def _check_drift(geo: grid_ops.DerivedGeometry, step):
-    leg = float(np.max(geo.data.legendrian_residual))
-    if not leg <= FLOW_LEGENDRIAN_ABORT:
-        raise FlowAbort("legendrian abort",
-                        f"Legendrian residual {leg:.3e} exceeded abort threshold "
-                        f"{FLOW_LEGENDRIAN_ABORT:.1e} at step {step}")
-    return leg
-
-
-def _diagnostics(geo: grid_ops.DerivedGeometry, step):
-    leg = _check_drift(geo, step)
-    try:
-        div, _ = grid_ops.div_JH(geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT)
-    except ValueError as exc:  # the drift passed, so only the tangency guard is left
-        raise FlowAbort("JH tangency abort", str(exc)) from exc
+def _diagnostics(geo: grid_ops.DerivedGeometry):
+    div, _ = grid_ops.div_JH(geo)
     div_l2 = float(np.sqrt(grid_ops.quadrature(div**2, geo)))
+    leg = float(np.max(geo.data.legendrian_residual))
     frame = "legendrian" if geo.frame.legendrian else "generic"
     return div, (div_l2, leg, frame)
 
 
-def start_flow(surface: GridSurface, tau0=DEFAULT_TAU0) -> FlowState:
+def start_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0) -> FlowState:
+    if not isinstance(surface, LegendrianGraph):
+        raise ValueError(f"the flow runs on a LegendrianGraph, got {type(surface).__name__}")
     geo = grid_ops.derived_geometry(surface)
-    geo.check_legendrian(tol=1e-6, what="flow start")
-    div, residuals = _diagnostics(geo, 0)
+    div, residuals = _diagnostics(geo)
     state = FlowState(surface=surface, geo=geo, div_JH=div, tau=tau0, tau0=tau0)
     state.area_history.append(grid_ops.surface_area(geo))
     state.residual_history.append(residuals)
@@ -186,46 +171,46 @@ def start_flow(surface: GridSurface, tau0=DEFAULT_TAU0) -> FlowState:
 
 
 def flow_step(state: FlowState) -> FlowState:
-    """One accepted descent step with halving line search on the area.
+    """One accepted descent step h <- h + tau f / rho3 with halving line search on the area.
 
+    tau max|V_f| <= STEP_CAP, with |V_f|^2 = f^2 + (1/4) g^{ij} f_i f_j.
     Rejected trials never enter the histories; tau regrows by 1.5x
     (capped at tau0) after acceptance so one stiff rejection does not pin
     the flow at a tiny step forever.  A stalled step, or one with no
     descent direction, leaves the surface, its geometry and the histories
-    untouched.  So does a FlowAbort: the state changes only after the
-    accepted surface's diagnostics pass.
+    untouched.
     """
-    _check_drift(state.geo, state.step_index)
     f = descent_potential(state.div_JH)
     surface = state.surface
-    p, scheme = surface.positions, surface.scheme
-    df = (grids.deriv(f, 0, scheme), grids.deriv(f, 1, scheme))  # f is frozen over the step
-    v1 = variation_field_on_positions(surface, f, df)
-    vmax = float(np.max(contact.norm(v1)))
+    fu, fv = (grids.deriv(f, axis, surface.scheme) for axis in (0, 1))
+    ginv = state.geo.data.ginv
+    grad2 = ginv[..., 0, 0] * fu**2 + 2.0 * ginv[..., 0, 1] * fu * fv + ginv[..., 1, 1] * fv**2
+    vmax = float(np.sqrt(np.max(f**2 + 0.25 * grad2)))
     if vmax == 0.0:
         state.stalled = True
         return state
 
+    dh = f / surface.rho3
     area = state.area
     tau = min(state.tau, STEP_CAP / vmax)
     accepted = None
     for halvings in range(MAX_HALVINGS + 1):
         if tau < TAU_UNDERFLOW:
             break
-        half = surface.with_positions(contact.normalize(p + 0.5 * tau * v1))
-        trial = contact.normalize(p + tau * variation_field_on_positions(half, f, df))
-        if np.all(np.isfinite(trial)):  # a non-finite trial halves, as a larger area does
-            trial = surface.with_positions(trial)
-            if area_of_positions(trial) < area:
-                accepted = trial  # geometry below reuses the derivatives the area took
-                break
+        try:
+            trial = LegendrianGraph(surface.h + tau * dh, surface.scheme)
+        except ValueError:  # not a graph (or non-finite): halved, as a larger area is
+            trial = None
+        if trial is not None and area_of_positions(trial) < area:
+            accepted = trial  # geometry below reuses the derivatives the area took
+            break
         tau *= 0.5
     if accepted is None:
         state.stalled = True
         return state
 
     geo = grid_ops.derived_geometry(accepted)
-    div, residuals = _diagnostics(geo, state.step_index + 1)
+    div, residuals = _diagnostics(geo)
     state.surface, state.geo, state.div_JH = accepted, geo, div
     state.step_index += 1
     state.tau = min(tau * 1.5, state.tau0)
@@ -256,10 +241,9 @@ class FlowResult:
     state: FlowState
     converged: bool
     report: Report
-    error: str | None = None
 
 
-def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
+def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
              tol=DEFAULT_TOL) -> FlowResult:
     """Iterate flow_step until ||div JH||_2 <= tol * initial or max_steps.
 
@@ -275,7 +259,7 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEP
     state = start_flow(surface, tau0=tau0)
     initial_div = state.residual_history[0][0]
     target = max(tol * initial_div, DIV_JH_FLOOR)
-    error = stop_reason = None
+    stop_reason = None
     while stop_reason is None:
         passband, band = _band_split(state.div_JH, state.geo)
         if state.residual_history[-1][0] <= target:
@@ -285,19 +269,15 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEP
         elif state.stalled or state.step_index >= max_steps:
             stop_reason = "stalled" if state.stalled else "max_steps"
         else:
-            try:
-                flow_step(state)
-            except FlowAbort as exc:  # the state keeps the last accepted surface
-                error, stop_reason = str(exc), exc.reason
+            flow_step(state)
     converged = stop_reason == "converged"
 
     integrals = grid_ops.integral_report(state.geo)
-    el = grid_ops.el_residual(state.geo, legendrian_tol=FLOW_LEGENDRIAN_ABORT)
+    el = grid_ops.el_residual(state.geo)
     rep = Report()
     rep.set("steps", state.step_index)
     rep.set("converged", converged)
     rep.set("stalled", bool(state.stalled))
-    rep.set("error", error)
     rep.set("stop_reason", stop_reason)
     rep.set("initial_area", state.area_history[0])
     rep.set("final_area", state.area_history[-1])
@@ -309,4 +289,4 @@ def run_flow(surface: GridSurface, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEP
     rep.set("final_S_max_dev", float(np.max(np.abs(state.geo.data.S - 2.0))))
     for key in ("W", "I1", "I2", "E", "Sigma_Simons"):
         rep.set("final_" + key, integrals.get(key))
-    return FlowResult(state=state, converged=converged, report=rep, error=error)
+    return FlowResult(state=state, converged=converged, report=rep)

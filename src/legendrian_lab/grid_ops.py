@@ -79,12 +79,11 @@ class DerivedGeometry:
         cov = np.stack([dot(w, self.jet.du), dot(w, self.jet.dv)], axis=-1)
         return np.einsum("...ab,...b->...a", self.data.ginv, cov)
 
-    def check_legendrian(self, tol=LEGENDRIAN_OP_TOL, what="operation"):
+    def check_legendrian(self, what="operation"):
         res = float(np.max(self.data.legendrian_residual))
-        if not res <= tol:
-            raise ValueError(
-                f"{what} requires a Legendrian grid surface: residual {res:.3e} > {tol:.1e}"
-            )
+        if not res <= LEGENDRIAN_OP_TOL:
+            raise ValueError(f"{what} requires a Legendrian grid surface: "
+                             f"residual {res:.3e} > {LEGENDRIAN_OP_TOL:.1e}")
         return res
 
 
@@ -186,14 +185,14 @@ def normal_laplacian(v, geo: DerivedGeometry):
     return _connection_laplacian(covariant_derivative_normal(v, geo), geo, geo.frame.normal_part)
 
 
-def div_JH(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
+def div_JH(geo: DerivedGeometry):
     """Metric divergence of the tangential part of J0 H.
 
     Returns (div, tangency_error); the discarded non-tangential norm must
-    stay below the abort threshold, which certifies the surface is
+    stay below JH_TANGENCY_ABORT, which certifies the surface is
     Legendrian enough for JH to be tangential.
     """
-    geo.check_legendrian(tol=legendrian_tol, what="div_JH")
+    geo.check_legendrian(what="div_JH")
     w = j_apply(geo.data.Hvec)
     contra = geo.tangential_components(w)
     tangential = (
@@ -205,9 +204,9 @@ def div_JH(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
     return divergence(contra, geo), err
 
 
-def el_residual(geo: DerivedGeometry, legendrian_tol=LEGENDRIAN_OP_TOL):
+def el_residual(geo: DerivedGeometry):
     """Stationarity residual -Delta^nu H + K H as a normal field."""
-    geo.check_legendrian(tol=legendrian_tol, what="el_residual")
+    geo.check_legendrian(what="el_residual")
     h = geo.data.Hvec
     return -normal_laplacian(h, geo) + geo.data.K[..., None] * h
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -255,6 +255,70 @@ class GridSurface:
         return GridSurface(positions=positions, scheme=self.scheme)
 
 
+class LegendrianGraph(GridSurface):
+    """The torus arg z3 = h - u - v over the grid (arg z1, arg z2) = (u, v).
+
+    In the toric form alpha = sum_k rho_k d(arg z_k), rho_k = |z_k|^2
+    (Lerman, J. Symplectic Geom. 1, 2003; Haskins, Amer. J. Math. 126,
+    2004), alpha(x_u) = alpha(x_v) = 0 forces rho3 = 1/(3 - h_u - h_v),
+    rho1 = (1 - h_u) rho3, rho2 = (1 - h_v) rho3: every Legendrian torus
+    C^1-close to the flat one is such a graph, and h = theta is
+    legendrian_torus(theta).  Positions and first derivatives come from h
+    by the chain rule, so the graph is Legendrian to rounding in every scheme.
+    """
+
+    def __init__(self, h, scheme="fd4"):
+        h = np.array(h, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(f"graph h must be (N, N), got {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError("graph h is non-finite")
+        hu, hv = (grids.deriv(h, axis, scheme) for axis in (0, 1))
+        low = min(np.min(1.0 - hu), np.min(1.0 - hv))
+        if not low > 0.0:
+            raise ValueError(f"h is not a Legendrian graph: min(1 - h_u, 1 - h_v) = {low:.3e}")
+        rho3 = 1.0 / (3.0 - hu - hv)
+        uu, vv = grids.grid_nodes(h.shape[0])
+        z = np.empty(h.shape + (3,), dtype=complex)
+        z[..., 0] = np.sqrt((1.0 - hu) * rho3) * np.exp(1j * uu[:, :1])
+        z[..., 1] = np.sqrt((1.0 - hv) * rho3) * np.exp(1j * vv[:1, :])
+        z[..., 2] = np.sqrt(rho3) * np.exp(1j * (h - uu - vv))
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "rho3", rho3)
+        object.__setattr__(self, "_dh", (hu, hv))
+        super().__init__(positions=z.view(float), scheme=scheme)
+
+    @functools.cached_property
+    def first_derivatives(self):
+        """x_i = z (d_i log rho / 2 + i d_i arg z) componentwise, from h alone."""
+        s, h, rho3 = self.scheme, self.h, self.rho3
+        hu, hv = self._dh
+        a, b = 1.0 - hu, 1.0 - hv
+        huu, hvv = (grids.deriv(h, axis, s, order=2) for axis in (0, 1))
+        huv = grids.deriv(hu, 1, s)  # composed first derivatives, as jets() takes x_uv
+        lu, lv = rho3 * (huu + huv), rho3 * (huv + hvv)  # d_u and d_v of log rho3
+        z = self.positions.view(complex)
+        xu = z * np.stack([0.5 * (lu - huu / a) + 1j, 0.5 * (lu - huv / b), 0.5 * lu - 1j * a],
+                          axis=-1)
+        xv = z * np.stack([0.5 * (lv - huv / a), 0.5 * (lv - hvv / b) + 1j, 0.5 * lv - 1j * b],
+                          axis=-1)
+        return xu.view(float), xv.view(float)
+
+    def jets(self) -> Jet2:
+        """GridSurface.jets less the Reeb part of x_ij, which holds only the scheme's error.
+
+        On a Legendrian surface <x_ij, J x> = d_j alpha(x_i) - <x_i, J x_j> = 0.
+        """
+        jet = super().jets()
+        reeb = contact.j_apply(self.positions)
+
+        def off_reeb(w):
+            return w - contact.dot(w, reeb)[..., None] * reeb
+
+        return replace(jet, duu=off_reeb(jet.duu), duv=off_reeb(jet.duv), dvv=off_reeb(jet.dvv))
+
+
 def resample_to_grid(surface: Immersion, n, scheme="fd4") -> GridSurface:
     """Sample a doubly periodic immersion at the n x n grid nodes."""
     if not all(surface.periodic):
@@ -389,10 +453,31 @@ def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
     q -> E q / |E q| with E = exp(J0 M): every resolution samples the same
     Legendrian surface up to roundoff.  See random_contact_hamiltonian for
     the stable/generic distinction.
+
+    The stable E is block diagonal, a 2x2 block A_k on each z_k, so the
+    image is the LegendrianGraph whose node (u, v) is the image of the
+    torus point at (arg(A1^-1 e^{iu}), arg(A2^-1 e^{iv})).  h - theta is
+    wrapped, as h would jump by 2pi at theta = pi; eps = 0 gives h = theta
+    exactly, free of atan2 rounding.
     """
-    base = resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
+    theta = float(theta) % TWO_PI
     if eps == 0.0:
-        return base
+        if mode == "stable":
+            return LegendrianGraph(np.full((n, n), theta), scheme)
+        return resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
     m = random_contact_hamiltonian(eps, seed=seed, mode=mode)
     e = expm(contact.j_apply(m.T).T)  # exp(J0 M), J0 applied column by column
+    if mode == "stable":
+        a1, a2, a3 = (e[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(3))
+        uu, vv = grids.grid_nodes(n)
+        phase = (uu + vv - theta + _arg_of_image(a3, theta - _arg_of_image(np.linalg.inv(a1), uu)
+                                                 - _arg_of_image(np.linalg.inv(a2), vv)))
+        return LegendrianGraph(theta + phase - TWO_PI * np.round(phase / TWO_PI), scheme)
+    base = resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
     return GridSurface(positions=contact.normalize(base.positions @ e.T), scheme=scheme)
+
+
+def _arg_of_image(a, angle):
+    """arg(A e^{i angle}) for a real 2x2 matrix A acting on C = R^2."""
+    c, s = np.cos(angle), np.sin(angle)
+    return np.arctan2(a[1, 0] * c + a[1, 1] * s, a[0, 0] * c + a[0, 1] * s)

@@ -124,13 +124,14 @@ def test_flow_failure_still_writes_reports(tmp_path):
     assert rep["converged"] is False
 
 
-def test_flow_abort_reports_its_reason_and_last_accepted_step(tmp_path):
-    out = tmp_path / "fa"
+def test_fd4_16_flow_stops_under_resolved_with_every_step_written(tmp_path):
+    out = tmp_path / "f16"
     code = run_cli(["flow", "--epsilon", "0.02", "--grid", "16", "--scheme", "fd4",
                     "--out", str(out)])
     assert code == 1
     rep = json.loads((out / "report.json").read_text())
-    assert rep["stop_reason"] == "JH tangency abort"
+    assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
+    assert "error" not in rep
     with open(out / "flow.csv") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + rep["steps"]

@@ -149,13 +149,13 @@ def test_run_flow_builds_one_geometry_per_accepted_surface(monkeypatch):
     assert len(calls) == rep["steps"] + 1
     assert state.geo.surface is state.surface
     # the cached geometry is the geometry of the final surface, not a stale one;
-    # a new GridSurface differentiates the final positions again
-    fresh = build(state.surface.with_positions(state.surface.positions))
+    # a new graph of the final h differentiates it again
+    fresh = build(immersions.LegendrianGraph(state.surface.h, state.surface.scheme))
     integrals = grid_ops.integral_report(fresh)
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
         assert rep["final_" + key] == integrals.get(key)
     assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
-    raw, _ = grid_ops.div_JH(fresh, legendrian_tol=flow.FLOW_LEGENDRIAN_ABORT)
+    raw, _ = grid_ops.div_JH(fresh)
     assert np.array_equal(state.div_JH, raw)
 
 
@@ -169,9 +169,8 @@ def test_stalled_flow_step_keeps_cached_geometry():
     assert state.step_index == 0 and len(state.area_history) == 1
 
 
-def test_flow_stationary_input_terminates_immediately(geometry_cache):
-    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "spectral")
-    result = flow.run_flow(g, max_steps=10)
+def test_flow_stationary_input_terminates_immediately():
+    result = flow.run_flow(_stable_start(n=16, eps=0.0), max_steps=10)
     assert result.converged
     assert result.report["steps"] == 0
 
@@ -211,6 +210,25 @@ def test_flow_robust_across_seeds(seed):
     assert result.report["max_legendrian_residual"] < 1e-4
 
 
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_graph_flow_stays_legendrian_and_certifies_simons(seed, scheme):
+    """Every iterate is a graph, so the frame stays Legendrian and Sigma_Simons is reported."""
+    result = flow.run_flow(immersions.perturbed_torus(eps=0.02, n=32, scheme=scheme, seed=seed,
+                                                      mode="stable"))
+    rep = result.report
+    assert rep["stop_reason"] == "converged"
+    assert rep["max_legendrian_residual"] <= 1e-13
+    assert rep["final_Sigma_Simons"] is not None
+    assert {frame for _, _, frame in result.state.residual_history} == {"legendrian"}
+
+
+def test_fd2_graph_flow_converges():
+    start = immersions.perturbed_torus(eps=0.02, n=32, scheme="fd2", seed=0, mode="stable")
+    rep = flow.run_flow(start).report
+    assert rep["stop_reason"] == "converged" and rep["steps"] < 200
+
+
 def test_flow_limit_satisfies_structure_identities(converged_flow):
     # the converged surface certifies the operator identities, not just
     # the stationarity metric it was driven by
@@ -220,9 +238,11 @@ def test_flow_limit_satisfies_structure_identities(converged_flow):
 
 
 def test_flow_rejects_non_legendrian_start():
-    c = immersions.resample_to_grid(immersions.catalog("clifford_s3"), 16, "spectral")
-    with pytest.raises(ValueError):
-        flow.run_flow(c, max_steps=5)
+    """Only a LegendrianGraph starts a flow; a Legendrian grid of positions does not either."""
+    for name in ("clifford_s3", "legendrian_torus"):
+        grid = immersions.resample_to_grid(immersions.catalog(name), 16, "spectral")
+        with pytest.raises(ValueError, match="runs on a LegendrianGraph"):
+            flow.run_flow(grid, max_steps=5)
 
 
 def test_flow_csv_schema(tmp_path):
@@ -265,7 +285,7 @@ def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_pa
     state, rep = result.state, result.report
     assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
     assert len(calls) == 1 and calls[0] is state.geo
-    el = grid_ops.el_residual(state.geo, legendrian_tol=flow.FLOW_LEGENDRIAN_ABORT)
+    el = grid_ops.el_residual(state.geo)
     assert rep["final_el_residual_sup"] == float(np.max(contact.norm(el)))
     # every trial but the accepted one of each step is a halving
     halvings = [int(row[5]) for row in _csv_rows(state, tmp_path)]
@@ -320,17 +340,24 @@ def test_fd4_flow_steps_never_build_the_generic_normal_frame(monkeypatch):
 
 
 def test_spectral_32_flow_differentiates_each_accepted_surface_once(monkeypatch):
-    calls = []
+    """A trial differentiates the scalar h; an accepted surface adds three (N, N, 6) derivatives.
+
+    Seed 0 measures 1002 calls over 38.8 MB of input and output.
+    """
+    calls, nbytes = [], []
     deriv = grids.deriv
 
     def counted(*args, **kwargs):
+        out = deriv(*args, **kwargs)
         calls.append(args)
-        return deriv(*args, **kwargs)
+        nbytes.append(args[0].nbytes + out.nbytes)
+        return out
 
     monkeypatch.setattr(grids, "deriv", counted)
     result = flow.run_flow(_stable_start(), max_steps=5000, tol=1e-4)
     assert result.report["stop_reason"] == "converged"
-    assert len(calls) <= 960
+    assert len(calls) <= 1050
+    assert sum(nbytes) <= 40e6
     # the accepted trial's first derivatives, taken for its area, are the geometry's
     state = result.state
     assert state.geo.jet.du is state.surface.first_derivatives[0]
@@ -339,10 +366,6 @@ def test_spectral_32_flow_differentiates_each_accepted_surface_once(monkeypatch)
 
 # ---------------------------------------------------------------------------
 # why a flow stops
-
-
-def _fd4_abort_start():
-    return immersions.perturbed_torus(eps=0.02, n=16, scheme="fd4", seed=0, mode="stable")
 
 
 def _csv_rows(state, tmp_path):
@@ -359,7 +382,8 @@ def _assert_reports_last_accepted_surface(result, tmp_path):
     if rows:
         assert rep["final_area"] == float(rows[-1][2])
         assert rep["final_div_JH_l2"] == float(rows[-1][3])
-    fresh = grid_ops.derived_geometry(state.surface.with_positions(state.surface.positions))
+    fresh = grid_ops.derived_geometry(immersions.LegendrianGraph(state.surface.h,
+                                                                 state.surface.scheme))
     integrals = grid_ops.integral_report(fresh)
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
         assert rep["final_" + key] == integrals.get(key)
@@ -373,22 +397,22 @@ def test_stop_reason_stalled_when_every_trial_underflows():
 
 
 def test_non_finite_trial_is_halved_like_a_larger_area(monkeypatch):
-    """A trial with non-finite positions is rejected and halved, not raised.
+    """A trial h that is not a graph is rejected and halved, not raised.
 
-    The step's first call of the field is v1 on the current surface; the
-    second is the first trial's midpoint field, which is made non-finite.
+    The first trial gets 1.5 sin(u) added, so its h_u reaches 1.5 and
+    LegendrianGraph refuses it, as it refuses a non-finite h.
     """
-    field, calls = flow.variation_field_on_positions, []
+    graph, calls = flow.LegendrianGraph, []
+    uu, _ = grids.grid_nodes(16)
 
-    def nan_on_first_trial(*args):
+    def no_graph_on_first_trial(h, scheme):
         calls.append(1)
-        v = field(*args)
-        return np.full_like(v, np.nan) if len(calls) == 2 else v
+        return graph(h + 1.5 * np.sin(uu) if len(calls) == 1 else h, scheme)
 
     plain = flow.start_flow(_stable_start(n=16))
     flow.flow_step(plain)
-    monkeypatch.setattr(flow, "variation_field_on_positions", nan_on_first_trial)
     state = flow.start_flow(_stable_start(n=16))
+    monkeypatch.setattr(flow, "LegendrianGraph", no_graph_on_first_trial)
     flow.flow_step(state)
     assert state.step_index == 1 and not state.stalled
     assert state.halvings_history == [plain.halvings_history[0] + 1]
@@ -410,7 +434,7 @@ def test_stop_reason_under_resolved_when_only_the_cut_band_misses_the_target(tmp
     rep = result.report
     target = 1e-4 * rep["initial_div_JH_l2"]
     passband, band = _band_l2s(result.state)
-    assert rep["stop_reason"] == "under-resolved" and rep["error"] is None
+    assert rep["stop_reason"] == "under-resolved"
     assert not rep["converged"] and not rep["stalled"]
     assert passband <= target < band
     assert rep["final_div_JH_band_l2"] == pytest.approx(band, rel=1e-12)
@@ -439,28 +463,6 @@ def test_spectral_step_count_does_not_grow_with_resolution(converged_flow):
 def test_stop_reason_max_steps(tmp_path):
     result = flow.run_flow(_stable_start(n=16), max_steps=2)
     rep = result.report
-    assert rep["stop_reason"] == "max_steps" and rep["error"] is None
+    assert rep["stop_reason"] == "max_steps"
     assert not rep["stalled"] and not rep["converged"]
-    _assert_reports_last_accepted_surface(result, tmp_path)
-
-
-def test_jh_tangency_abort_reports_the_last_accepted_surface(tmp_path):
-    result = flow.run_flow(_fd4_abort_start())
-    rep = result.report
-    assert rep["stop_reason"] == "JH tangency abort"
-    assert rep["error"].startswith("JH tangency error")
-    assert rep["steps"] > 0 and not rep["converged"]
-    _assert_reports_last_accepted_surface(result, tmp_path)
-    assert [row[6] for row in _csv_rows(result.state, tmp_path)] == ["generic"] * rep["steps"]
-
-
-def test_legendrian_abort_reports_the_last_accepted_surface(monkeypatch, tmp_path):
-    # the fd4 N=16 flow drifts by ~6e-5 per step: a 1e-4 threshold
-    # accepts step 1 and aborts on the drift of the step-2 trial
-    monkeypatch.setattr(flow, "FLOW_LEGENDRIAN_ABORT", 1e-4)
-    result = flow.run_flow(_fd4_abort_start())
-    rep = result.report
-    assert rep["stop_reason"] == "legendrian abort"
-    assert "exceeded abort threshold 1.0e-04 at step 2" in rep["error"]
-    assert rep["steps"] == 1
     _assert_reports_last_accepted_surface(result, tmp_path)

@@ -327,13 +327,34 @@ def _rk4_contact_flow(positions, m, steps=40):
     return contact.normalize(q)
 
 
+def _preimage_angle(block, angle):
+    """arg(A^-1 e^{i angle}) for the 2x2 block A acting on one complex coordinate."""
+    x, y = np.tensordot(np.linalg.inv(block), np.stack([np.cos(angle), np.sin(angle)]), 1)
+    return np.arctan2(y, x)
+
+
 @pytest.mark.parametrize("n", [32, 128])
 @pytest.mark.parametrize("mode", ["stable", "generic"])
 def test_perturbed_torus_matches_the_integrated_contact_field(n, mode):
-    base = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), n, "spectral")
+    """A generic start moves the torus nodes.  A stable graph node (u, v) is the
+    image of the torus point at (arg(A1^-1 e^{iu}), arg(A2^-1 e^{iv})): its
+    phases are closed-form, and its moduli carry the spectral error of h_u and
+    h_v (3.2e-11 at N=32, 2.4e-14 at N=128, the roundoff floor)."""
+    uu, vv = grids.grid_nodes(n)
     m = immersions.random_contact_hamiltonian(0.02, seed=0, mode=mode)
+    if mode == "stable":
+        e = immersions.expm(J0 @ m)
+        uu, vv = (_preimage_angle(e[2 * k:2 * k + 2, 2 * k:2 * k + 2], t)
+                  for k, t in enumerate((uu, vv)))
+    base = immersions.catalog("legendrian_torus").evaluator(uu, vv).value
     exact = immersions.perturbed_torus(eps=0.02, n=n, scheme="spectral", seed=0, mode=mode)
-    assert np.max(np.abs(exact.positions - _rk4_contact_flow(base.positions, m))) <= 1e-14
+    flowed = _rk4_contact_flow(base, m)
+    if mode == "generic":
+        assert np.max(np.abs(exact.positions - flowed)) <= 1e-14
+        return
+    got, want = exact.positions.view(complex), flowed.view(complex)
+    assert np.max(np.abs(np.angle(got / want))) <= 1e-14
+    assert np.max(np.abs(np.abs(got) - np.abs(want))) <= {32: 1e-10, 128: 1e-13}[n]
 
 
 @pytest.mark.parametrize("mode", ["stable", "generic"])
@@ -357,3 +378,50 @@ def test_expm_scales_and_squares_a_rotation():
     for t in (0.0, 0.3, 10.0):
         rotation = np.cos(t) * np.eye(6) + np.sin(t) * J0
         assert np.max(np.abs(immersions.expm(t * J0) - rotation)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the Legendrian graph arg z3 = h - u - v
+
+
+def test_spectral_graph_jets_match_differentiated_positions():
+    graph = immersions.perturbed_torus(eps=0.02, n=64, scheme="spectral", seed=0)
+    jet, p = graph.jets(), graph.positions
+    du, dv = (grids.deriv(p, axis, "spectral") for axis in (0, 1))
+    expected = {"du": du, "dv": dv, "duu": grids.deriv(p, 0, "spectral", order=2),
+                "duv": grids.deriv(du, 1, "spectral"), "dvv": grids.deriv(p, 1, "spectral", order=2)}
+    for key, value in expected.items():
+        assert np.max(np.abs(getattr(jet, key) - value)) <= 1e-12, key
+
+
+@pytest.mark.parametrize("scheme", grids.SCHEMES)
+def test_graph_is_legendrian_to_rounding_in_every_scheme(scheme):
+    jet = immersions.perturbed_torus(eps=0.02, n=32, scheme=scheme, seed=0).jets()
+    reeb = contact.j_apply(jet.value)
+    for tangent in extrinsic.legendrian_residual(jet):
+        assert np.max(np.abs(tangent)) <= 1e-14
+    for second in (jet.duu, jet.duv, jet.dvv):
+        assert np.max(np.abs(contact.dot(second, reeb))) <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, np.pi, 5.0])
+def test_constant_graph_is_the_flat_torus(theta):
+    graph = immersions.LegendrianGraph(np.full((16, 16), theta), "fd4")
+    torus = immersions.resample_to_grid(immersions.catalog("legendrian_torus", theta=theta),
+                                        16, "fd4")
+    assert np.max(np.abs(graph.positions - torus.positions)) <= 1e-15
+    assert np.array_equal(immersions.perturbed_torus(theta=theta, eps=0.0, n=16).h,
+                          np.full((16, 16), theta))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, np.pi])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stable_graph_has_the_area_of_the_moved_torus_nodes(seed, theta):
+    """The graph and the expm image of the torus nodes sample one surface."""
+    m = immersions.random_contact_hamiltonian(0.02, seed=seed, mode="stable")
+    base = immersions.resample_to_grid(immersions.catalog("legendrian_torus", theta=theta), 64,
+                                       "spectral")
+    moved = base.with_positions(contact.normalize(base.positions @ immersions.expm(J0 @ m).T))
+    graph = immersions.perturbed_torus(theta=theta, eps=0.02, n=64, scheme="spectral", seed=seed)
+    areas = [grid_ops.surface_area(grid_ops.derived_geometry(s)) for s in (graph, moved)]
+    assert abs(areas[0] - areas[1]) <= 1e-13

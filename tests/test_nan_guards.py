@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from legendrian_lab import flow, grid_ops, immersions
+from legendrian_lab import flow, grid_ops, grids, immersions
 
 
 def _with_data(geo, **fields):
@@ -53,15 +53,15 @@ def test_omega_commutation_ker_alpha_check_rejects_nan(geometry_cache, monkeypat
         grid_ops.omega_commutation_residual(v, geo)
 
 
-def test_flow_step_legendrian_abort_rejects_nan():
-    start = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=0,
-                                       mode="stable")
-    state = flow.start_flow(start)
-    state.geo = _with_data(state.geo, legendrian_residual=_with_one_nan(
-        state.geo.data.legendrian_residual))
-    with pytest.raises(ValueError, match="exceeded abort threshold"):
-        flow.flow_step(state)
-    assert state.step_index == 0
+def test_legendrian_graph_rejects_nan_and_a_non_graph_h():
+    h = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=0,
+                                   mode="stable").h
+    with pytest.raises(ValueError, match="non-finite"):
+        immersions.LegendrianGraph(_with_one_nan(h), "spectral")
+    uu, _ = grids.grid_nodes(16)
+    for amplitude in (1.001, 1.5):  # h_u = amplitude cos(u) exceeds 1 at u = 0
+        with pytest.raises(ValueError, match="not a Legendrian graph"):
+            immersions.LegendrianGraph(amplitude * np.sin(uu), "spectral")
 
 
 @pytest.mark.parametrize("which", ["du", "dv"])

@@ -5,7 +5,8 @@ with J0, so it keeps the contact form, the Reeb field and every
 curvature invariant; a cyclic shift of the grid is a lattice
 translation of the parameters.  Together they may change the pointwise
 invariants only by the shift, and the integrals and the area flow's
-limit only by roundoff.
+limit only by roundoff.  The flow runs on graphs arg z3 = h - u - v,
+whose shifted h is the graph moved by a diagonal unitary.
 """
 
 import numpy as np
@@ -32,6 +33,14 @@ def random_unitary_as_real(seed):
     return real
 
 
+def diagonal_unitary_as_real(a, b):
+    """diag(e^{ia}, e^{ib}, e^{-i(a+b)}) acting on (x1, y1, x2, y2, x3, y3)."""
+    real = np.zeros((6, 6))
+    for k, t in enumerate((a, b, -(a + b))):
+        real[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+    return real
+
+
 def moved(surface, seed=0):
     positions = np.roll(surface.positions @ random_unitary_as_real(seed).T, SHIFT, axis=(0, 1))
     return surface.with_positions(positions)
@@ -47,8 +56,12 @@ def test_real_form_is_orthogonal_and_commutes_with_j():
 
 @pytest.mark.parametrize("mode", ["stable", "generic"])
 @pytest.mark.parametrize("scheme", ["fd4", "spectral"])
-def test_invariants_survive_unitary_motion_and_shift(scheme, mode, geometry_cache):
-    geo = geometry_cache("torus", 32, scheme, eps=0.02, mode=mode)
+def test_invariants_survive_unitary_motion_and_shift(scheme, mode):
+    # Like with like: the moved copy differentiates positions, so the start does
+    # too.  The positions are the spectral start's, the surface sampled to 3e-11;
+    # an fd4 graph's own positions are Legendrian only to its chain rule (5e-5).
+    start = immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral", seed=0, mode=mode)
+    geo = grid_ops.derived_geometry(immersions.GridSurface(start.positions, scheme))
     geo_m = grid_ops.derived_geometry(moved(geo.surface))
     assert geo.frame.legendrian and geo_m.frame.legendrian
 
@@ -67,18 +80,26 @@ def test_invariants_survive_unitary_motion_and_shift(scheme, mode, geometry_cach
 
 @pytest.mark.parametrize("scheme, n", [("fd4", 32), ("spectral", 16)])
 def test_flow_limit_survives_unitary_motion_and_shift(scheme, n):
-    """Both flows stop for the same reason, after as many steps, at the same area.
+    """h rolled by SHIFT is the graph moved by diag(e^{ia}, e^{ib}, e^{-i(a+b)}), then shifted.
 
+    Here (a, b) = 2 pi SHIFT / N.  Both flows stop for the same reason,
+    after as many steps, at the same area and at the rolled final h.
     fd4 N=32 converges; spectral N=16 is under-resolved for the default
-    tol.  Each pair takes 80 steps.
+    tol.
     """
     start = immersions.perturbed_torus(eps=0.02, n=n, scheme=scheme, seed=0, mode="stable")
-    results = [flow.run_flow(s) for s in (start, moved(start))]
+    rolled = immersions.LegendrianGraph(np.roll(start.h, SHIFT, axis=(0, 1)), scheme)
+    unitary = diagonal_unitary_as_real(*(2 * np.pi * s / n for s in SHIFT))
+    expected_positions = np.roll(start.positions @ unitary.T, SHIFT, axis=(0, 1))
+    assert np.max(np.abs(rolled.positions - expected_positions)) <= POINTWISE_TOL
+    results = [flow.run_flow(s) for s in (start, rolled)]
     expected = "converged" if n == 32 else "under-resolved"
     assert [r.report["stop_reason"] for r in results] == [expected, expected]
     assert results[0].report["steps"] == results[1].report["steps"]
     areas = [r.report["final_area"] for r in results]
     assert abs(areas[1] - areas[0]) <= FLOW_AREA_TOL
+    final_h = [r.state.surface.h for r in results]
+    assert np.max(np.abs(final_h[1] - np.roll(final_h[0], SHIFT, axis=(0, 1)))) <= POINTWISE_TOL
 
 
 @pytest.mark.parametrize("theta", [1.0, np.pi])
