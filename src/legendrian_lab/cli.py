@@ -123,13 +123,13 @@ def _pointwise_suite(args, rep, failures):
     jet = immersions.eval_jet2(surf, u, v)
     frame = extrinsic.adapted_frame(jet)
     data = extrinsic.extrinsic_data(jet, frame)
-    ident = extrinsic.pointwise_identity_residuals(jet, frame, data)
+    ident = extrinsic.pointwise_identity_residuals(data)
 
     s_exp, k_exp, leg_exp = _POINTWISE_EXPECT[args.surface]
     s_dev = float(np.max(np.abs(data.S - s_exp)))
     k_dev = float(np.max(np.abs(data.K - k_exp)))
     h_max = float(np.max(np.sqrt(data.H2)))
-    leg_res = float(np.max(data.legendrian_residual))
+    leg_res = float(np.max(frame.legendrian_residual))
     orth = frame.orthonormality_residual(jet.value)
 
     _record(rep, failures, "S_max_dev", s_dev, s_dev <= 1e-9)

@@ -8,10 +8,12 @@ S = |B|^2 and rho^2 = S - 2H^2, and the Gauss curvature via
 
 The second fundamental form uses the round-sphere correction
 B_ij = (d^2 L_ij + g_ij p) minus its tangential part, which removes the
-radial component exactly.  When the surface is Legendrian at working
-precision the normal frame is (J E1, J E2, R); otherwise a generic
-orthonormal normal frame is grown deterministically from the coordinate
-axes.  Everything broadcasts over leading batch axes.
+radial component exactly.  adapted_frame decides once whether the
+surface is Legendrian: its flag, max |alpha(d_i)| <= LEGENDRIAN_FRAME_TOL
+over the batch, picks the normal frame (J E1, J E2, R), or else a generic
+orthonormal normal frame grown deterministically from the coordinate
+axes, and it is the one predicate every Legendrian-only operator reads.
+Everything broadcasts over leading batch axes.
 
 The metric, the Legendrian residual and H are built eagerly, as a flow
 step reads nothing else; the normal frame, B, S, rho^2 and K on first
@@ -123,9 +125,10 @@ def _generic_normals(p, e1, e2):
 def adapted_frame(jet: Jet2) -> AdaptedFrame:
     """Gram-Schmidt tangent frame plus the matching normal frame.
 
-    The Legendrian normal frame (J E1, J E2, R) is used when the whole
-    batch has max |alpha(d_i)| <= LEGENDRIAN_FRAME_TOL (read at call
-    time); batches are not mixed.
+    legendrian is set when the whole batch has max |alpha(d_i)| <=
+    LEGENDRIAN_FRAME_TOL (read at call time; a NaN residual fails it);
+    it selects the normal frame (J E1, J E2, R) and gates every
+    Legendrian-only operator.  Batches are not mixed.
     """
     p = jet.value
     # discrete jets carry an O(scheme) radial part; remove it so the full
@@ -166,7 +169,6 @@ class ExtrinsicData:
     ginv: np.ndarray         # (..., 2, 2)
     sqrt_det_g: np.ndarray   # (...,)
     Hvec: np.ndarray         # (..., 6)
-    legendrian_residual: np.ndarray  # (...,) max |alpha(d_i)|
     jet: Jet2
     frame: AdaptedFrame
 
@@ -215,8 +217,7 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
                 for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 0, jet.duv),
                                  (1, 1, jet.dvv)))
     return ExtrinsicData(g=g, ginv=ginv, sqrt_det_g=np.sqrt(det),
-                         Hvec=0.5 * frame.normal_part(trace),
-                         legendrian_residual=frame.legendrian_residual, jet=jet, frame=frame)
+                         Hvec=0.5 * frame.normal_part(trace), jet=jet, frame=frame)
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,7 @@ class IdentityResiduals:
     det_sum: np.ndarray       # det h^1 + det h^2, per point
 
 
-def pointwise_identity_residuals(jet: Jet2, frame: AdaptedFrame,
-                                 data: ExtrinsicData) -> IdentityResiduals:
+def pointwise_identity_residuals(data: ExtrinsicData) -> IdentityResiduals:
     """Reeb-component, index-symmetry and Gauss-identity residuals.
 
     The full 3-index symmetry h^c_ab = h^a_cb = h^b_ac is a Legendrian
@@ -243,7 +243,7 @@ def pointwise_identity_residuals(jet: Jet2, frame: AdaptedFrame,
     h3_max = float(np.max(np.abs(h[..., 2, :, :])))
     symij = float(np.max(np.abs(h - np.swapaxes(h, -1, -2))))
     sym3 = None
-    if frame.legendrian:
+    if data.frame.legendrian:
         t = np.stack(
             [h[..., 0, :, :], h[..., 1, :, :]], axis=-3
         )  # t[c, a, b] = h^c_ab for c in {1, 2}

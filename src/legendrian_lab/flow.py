@@ -80,8 +80,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
     v = variation_field_on_positions(geo.surface, f, (geo.d(f, 0), geo.d(f, 1)))
 
     geometric = -2.0 * grid_ops.quadrature(dot(geo.data.Hvec, v), geo)
-    div, _ = grid_ops.div_JH(geo)
-    divergence = -grid_ops.quadrature(f * div, geo)
+    divergence = -grid_ops.quadrature(f * grid_ops.div_JH(geo), geo)
     plus, minus = (geo.surface.with_positions(contact.normalize(geo.jet.value + s * v))
                    for s in (eps, -eps))
     fd = (area_of_positions(plus) - area_of_positions(minus)) / (2 * eps)
@@ -152,9 +151,9 @@ class FlowState:
 
 
 def _diagnostics(geo: grid_ops.DerivedGeometry):
-    div, _ = grid_ops.div_JH(geo)
+    div = grid_ops.div_JH(geo)
     div_l2 = float(np.sqrt(grid_ops.quadrature(div**2, geo)))
-    leg = float(np.max(geo.data.legendrian_residual))
+    leg = float(np.max(geo.frame.legendrian_residual))
     frame = "legendrian" if geo.frame.legendrian else "generic"
     return div, (div_l2, leg, frame)
 

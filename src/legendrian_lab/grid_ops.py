@@ -27,7 +27,6 @@ from .contact import dot, j_apply
 from .immersions import GridSurface
 from .report import Report
 
-LEGENDRIAN_OP_TOL = 1e-4
 NORMAL_FIELD_TOL = 1e-8
 KER_ALPHA_TOL = 1e-8
 JH_TANGENCY_ABORT = 1e-3
@@ -80,11 +79,11 @@ class DerivedGeometry:
         return np.einsum("...ab,...b->...a", self.data.ginv, cov)
 
     def check_legendrian(self, what="operation"):
-        res = float(np.max(self.data.legendrian_residual))
-        if not res <= LEGENDRIAN_OP_TOL:
-            raise ValueError(f"{what} requires a Legendrian grid surface: "
-                             f"residual {res:.3e} > {LEGENDRIAN_OP_TOL:.1e}")
-        return res
+        """Raise unless the frame is Legendrian, the one predicate of adapted_frame."""
+        if not self.frame.legendrian:
+            res = float(np.max(self.frame.legendrian_residual))
+            raise ValueError(f"{what} requires a Legendrian grid surface: residual "
+                             f"{res:.3e} > {extrinsic.LEGENDRIAN_FRAME_TOL:.1e}")
 
 
 def derived_geometry(surface: GridSurface) -> DerivedGeometry:
@@ -186,11 +185,11 @@ def normal_laplacian(v, geo: DerivedGeometry):
 
 
 def div_JH(geo: DerivedGeometry):
-    """Metric divergence of the tangential part of J0 H.
+    """Metric divergence of the tangential part of J0 H, on a Legendrian frame.
 
-    Returns (div, tangency_error); the discarded non-tangential norm must
-    stay below JH_TANGENCY_ABORT, which certifies the surface is
-    Legendrian enough for JH to be tangential.
+    J0 H is tangential on a Legendrian surface; on a grid the discarded
+    non-tangential norm carries the scheme's error, and a ValueError is
+    raised when it exceeds JH_TANGENCY_ABORT (an under-resolved grid).
     """
     geo.check_legendrian(what="div_JH")
     w = j_apply(geo.data.Hvec)
@@ -201,7 +200,7 @@ def div_JH(geo: DerivedGeometry):
     err = float(np.max(contact.norm(w - tangential)))
     if not err <= JH_TANGENCY_ABORT:
         raise ValueError(f"JH tangency error {err:.3e} exceeds {JH_TANGENCY_ABORT:.1e}")
-    return divergence(contra, geo), err
+    return divergence(contra, geo)
 
 
 def el_residual(geo: DerivedGeometry):
@@ -336,8 +335,7 @@ def reeb_pairing_residual(geo: DerivedGeometry):
     geo.check_legendrian(what="reeb_pairing_residual")
     lap = normal_laplacian(geo.data.Hvec, geo)
     pairing = dot(lap, j_apply(geo.jet.value))
-    div, _ = div_JH(geo)
-    return pairing - 2.0 * div
+    return pairing - 2.0 * div_JH(geo)
 
 
 def mean_curvature_form_closedness(geo: DerivedGeometry):
@@ -386,8 +384,8 @@ class GradientNorms:
 def normal_gradient_H_squared(geo: DerivedGeometry):
     """|nabla^nu H|^2 by differentiating the vector field and projecting.
 
-    Frame-free (projector-based), so it is available on near-Legendrian
-    flow limits where the Legendrian normal frame is not engaged.
+    Frame-free (projector-based): it reads the tangents and the normal
+    projector only, never the normal frame.
     """
     p = geo.jet.value
     e = geo.frame.tangents()
@@ -401,8 +399,6 @@ def normal_gradient_H_squared(geo: DerivedGeometry):
 
 def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     geo.check_legendrian(what="gradient_norm_decomposition")
-    if not geo.frame.legendrian:
-        raise ValueError("gradient_norm_decomposition needs the Legendrian frame")
     p = geo.jet.value
     e = geo.frame.tangents()
     normals = geo.frame.normals()
@@ -471,13 +467,11 @@ def integral_report(geo: DerivedGeometry) -> Report:
     """Area, Willmore energy, comparison integrals and integral identities.
 
     The Legendrian-only entries (E, Sigma_Simons, Li margin, decomposition
-    residuals) are flagged not-applicable rather than failing when the
-    surface is not Legendrian at tolerance.
+    residuals) are None, not failures, when the frame is not Legendrian;
+    the legendrian key is that frame flag.
     """
     d = geo.data
     rep = Report()
-    leg_res = float(np.max(d.legendrian_residual))
-    legendrian = leg_res <= LEGENDRIAN_OP_TOL
     rep.set("area", surface_area(geo))
     rep.set("W", quadrature(d.rho2, geo))
     rep.set("I1", quadrature(1.5 * d.rho2 * (2.0 - d.S) + 2.0 * d.H2 * d.rho2 + 2.0 * d.H2, geo))
@@ -486,30 +480,19 @@ def integral_report(geo: DerivedGeometry) -> Report:
     rep.set("I4", quadrature(d.S * (2.0 - 1.5 * d.S), geo))
     rep.set("I5", quadrature(d.rho2 * (2.0 - d.rho2), geo))
     rep.set("I6", quadrature(d.rho2 * (2.0 - 1.5 * d.rho2), geo))
-    rep.set("legendrian_residual", leg_res)
-    rep.set("legendrian", bool(legendrian))
-    norms = gradient_norm_decomposition(geo) if legendrian and geo.frame.legendrian else None
-    if legendrian:
-        # E needs only frame-free projections, so it survives the small
-        # drift of flowed grids where the Legendrian frame is not engaged
-        grad_H2 = normal_gradient_H_squared(geo) if norms is None else norms.full_H2
-        rep.set("E", quadrature(grad_H2, geo) + quadrature(d.K * d.H2, geo))
-    else:
-        rep.set("E", None)
-    if norms is not None:
-        ident = extrinsic.pointwise_identity_residuals(geo.jet, geo.frame, d)
-        simons = (
-            norms.full_h2
-            - 4.0 * norms.full_H2
-            + 2.0 * d.K * d.rho2
-            - 2.0 * ident.det_sum**2
-        )
-        rep.set("Sigma_Simons", quadrature(simons, geo))
-        rep.set("grad_h_decomposition_res", norms.residual_h_max)
-        rep.set("grad_H_decomposition_res", norms.residual_H_max)
-        rep.set("li_margin_min", norms.li_margin_min)
-    else:
-        for key in ("Sigma_Simons", "grad_h_decomposition_res",
+    rep.set("legendrian_residual", float(np.max(geo.frame.legendrian_residual)))
+    rep.set("legendrian", geo.frame.legendrian)
+    if not geo.frame.legendrian:
+        for key in ("E", "Sigma_Simons", "grad_h_decomposition_res",
                     "grad_H_decomposition_res", "li_margin_min"):
             rep.set(key, None)
+        return rep
+    norms = gradient_norm_decomposition(geo)
+    ident = extrinsic.pointwise_identity_residuals(d)
+    simons = norms.full_h2 - 4.0 * norms.full_H2 + 2.0 * d.K * d.rho2 - 2.0 * ident.det_sum**2
+    rep.set("E", quadrature(norms.full_H2, geo) + quadrature(d.K * d.H2, geo))
+    rep.set("Sigma_Simons", quadrature(simons, geo))
+    rep.set("grad_h_decomposition_res", norms.residual_h_max)
+    rep.set("grad_H_decomposition_res", norms.residual_H_max)
+    rep.set("li_margin_min", norms.li_margin_min)
     return rep

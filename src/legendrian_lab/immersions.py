@@ -372,7 +372,7 @@ def variation_field_on_positions(surface: GridSurface, f, df):
     """Legendrian variation V_f = f R + (1/2) J0 grad_g f, with alpha(V_f) = f.
 
     The metric is taken from the surface's (cached) first derivatives; df
-    is (f_u, f_v), taken once by the caller for all the surfaces it tries.
+    is (f_u, f_v), the caller's derivatives of f on this surface's grid.
     The 1/2 is forced by d(alpha) = 2 sum dx ^ dy: it is the unique
     scaling for which the deformation preserves alpha(d_i) = 0 to first
     order (the drift is quadratic in the displacement).

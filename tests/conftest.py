@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from legendrian_lab import grid_ops, immersions
+from legendrian_lab import contact, flow, grid_ops, immersions
 
 A_TORUS = 4 * np.pi**2 / np.sqrt(3)
 A_CLIFFORD = 2 * np.pi**2
@@ -45,3 +45,24 @@ def geometry_cache():
         return cache[key]
 
     return build
+
+
+@pytest.fixture(scope="session")
+def flowed_geo():
+    """One explicit V_f step off a spectral N=16 start: the frame has turned generic.
+
+    The step is tau = 1e-3 / max|V_f| along the descent potential, which
+    leaves a Legendrian residual of 5.8e-7.  The flow itself runs on graphs
+    and stays Legendrian, so it no longer makes such a grid.  The start is
+    the generic-mode one, Legendrian to roundoff at the torus nodes.
+    """
+    start = grid_ops.derived_geometry(immersions.perturbed_torus(
+        eps=0.02, n=16, scheme="spectral", seed=0, mode="generic"))
+    f = flow.descent_potential(grid_ops.div_JH(start))
+    v = immersions.variation_field_on_positions(start.surface, f,
+                                                (start.d(f, 0), start.d(f, 1)))
+    tau = 1e-3 / np.max(contact.norm(v))
+    geo = grid_ops.derived_geometry(
+        start.surface.with_positions(contact.normalize(start.jet.value + tau * v)))
+    assert not geo.frame.legendrian
+    return geo

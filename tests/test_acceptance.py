@@ -44,7 +44,7 @@ def test_criterion_1_catalog_pointwise_values():
             assert np.max(np.abs(data.S - 2.0)) <= 1e-9
             assert np.max(np.sqrt(data.H2)) <= 1e-9
             assert np.max(np.abs(data.K)) <= 1e-9
-            assert np.max(data.legendrian_residual) <= 1e-12
+            assert np.max(data.frame.legendrian_residual) <= 1e-12
         _, _, sph = _sample(immersions.catalog("equatorial_legendrian_sphere"), 1000, 11)
         assert np.max(sph.S) <= 1e-10
         assert np.max(np.abs(sph.K - 1.0)) <= 1e-9
@@ -71,23 +71,23 @@ def test_criterion_2_structure_identity_suite():
 
         # Legendrian surfaces: analytic catalog plus an ambient-perturbed grid
         for theta in (0.0, 1.0, np.pi):
-            jet, frame, data = _sample(
+            _, _, data = _sample(
                 immersions.catalog("legendrian_torus", theta=theta), 1000, 21
             )
-            ident = extrinsic.pointwise_identity_residuals(jet, frame, data)
+            ident = extrinsic.pointwise_identity_residuals(data)
             assert ident.h3_max <= 1e-7
             assert ident.sym3_max <= 1e-7
-        jet, frame, data = _sample(
+        _, _, data = _sample(
             immersions.catalog("equatorial_legendrian_sphere"), 1000, 22
         )
-        ident = extrinsic.pointwise_identity_residuals(jet, frame, data)
+        ident = extrinsic.pointwise_identity_residuals(data)
         assert ident.h3_max <= 1e-7 and ident.sym3_max <= 1e-7
 
         geo = grid_ops.derived_geometry(
             immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral", seed=0,
                                        mode="generic")
         )
-        ident = extrinsic.pointwise_identity_residuals(geo.jet, geo.frame, geo.data)
+        ident = extrinsic.pointwise_identity_residuals(geo.data)
         assert ident.h3_max <= 1e-7
         assert ident.sym3_max <= 1e-7
 
@@ -162,7 +162,7 @@ def test_criterion_5_integral_values(geometry_cache):
 def test_criterion_6_first_variation_agreement(geometry_cache):
     with criterion(6, "first-variation three-way agreement, 1e-6 relative"):
         geo = geometry_cache("torus", 32, "spectral", eps=0.02, mode="generic")
-        f, _ = grid_ops.div_JH(geo)
+        f = grid_ops.div_JH(geo)
         a, b, c = flow.first_variation_check(geo, f, eps=1e-3)
         scale = max(abs(a), abs(b), abs(c))
         assert abs(a - c) / scale <= 1e-6

@@ -69,6 +69,14 @@ def test_verify_perturbed_fd2_orders_at_32(tmp_path):
     assert rep["reeb_pairing_order"] >= 1.8
 
 
+def test_under_resolved_verify_trips_the_jh_tangency_guard(tmp_path, capsys):
+    """fd2 at N=8 leaves J0 H off the tangent plane by 2.5e-3, above JH_TANGENCY_ABORT."""
+    code = run_cli(["verify", "--epsilon", "0.02", "--grid", "8", "--scheme", "fd2",
+                    "--out", str(tmp_path)])
+    assert code == 1
+    assert "JH tangency error" in capsys.readouterr().err
+
+
 def test_integrals_torus(tmp_path):
     out = tmp_path / "i"
     assert run_cli(["integrals", "--surface", "legendrian-torus", "--out", str(out)]) == 0

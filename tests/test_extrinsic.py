@@ -61,8 +61,8 @@ def test_metric_of_torus():
 
 
 def test_identity_residuals_torus():
-    jet, frame, data = _point_data("legendrian_torus")
-    ident = extrinsic.pointwise_identity_residuals(jet, frame, data)
+    _, _, data = _point_data("legendrian_torus")
+    ident = extrinsic.pointwise_identity_residuals(data)
     assert ident.h3_max < 1e-9
     assert ident.sym3_max < 1e-9
     assert ident.gauss_identity_max < 1e-10
@@ -70,16 +70,16 @@ def test_identity_residuals_torus():
 
 
 def test_identity_residuals_equatorial_sphere():
-    jet, frame, data = _point_data("equatorial_legendrian_sphere")
-    ident = extrinsic.pointwise_identity_residuals(jet, frame, data)
+    _, _, data = _point_data("equatorial_legendrian_sphere")
+    ident = extrinsic.pointwise_identity_residuals(data)
     assert ident.h3_max < 1e-10
     assert ident.sym3_max < 1e-10
     assert np.max(np.abs(ident.det_sum)) < 1e-10
 
 
 def test_identity_residuals_clifford_generic_frame():
-    jet, frame, data = _point_data("clifford_s3")
-    ident = extrinsic.pointwise_identity_residuals(jet, frame, data)
+    _, _, data = _point_data("clifford_s3")
+    ident = extrinsic.pointwise_identity_residuals(data)
     assert ident.sym3_max is None  # 3-symmetry not asserted off the Legendrian frame
     assert ident.symij_max < 1e-12
 
@@ -141,8 +141,7 @@ def test_symmetry_defect_bounded_by_legendrian_residual(monkeypatch):
     monkeypatch.setattr(extrinsic, "LEGENDRIAN_FRAME_TOL", 1e-5)
     frame = extrinsic.adapted_frame(jet)
     assert frame.legendrian
-    data = extrinsic.extrinsic_data(jet, frame)
-    ident = extrinsic.pointwise_identity_residuals(jet, frame, data)
+    ident = extrinsic.pointwise_identity_residuals(extrinsic.extrinsic_data(jet, frame))
     assert ident.sym3_max <= 10.0 * drift
     assert ident.h3_max <= 10.0 * drift
 

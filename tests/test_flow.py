@@ -64,7 +64,7 @@ def test_variation_drift_quadratic_in_step(geometry_cache):
 
 def test_first_variation_three_routes_agree():
     geo = grid_ops.derived_geometry(_stable_start())
-    f, _ = grid_ops.div_JH(geo)
+    f = grid_ops.div_JH(geo)
     a, b, c = flow.first_variation_check(geo, f, eps=1e-3)
     assert a == pytest.approx(c, rel=1e-6)
     assert b == pytest.approx(c, rel=1e-6)
@@ -155,8 +155,7 @@ def test_run_flow_builds_one_geometry_per_accepted_surface(monkeypatch):
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
         assert rep["final_" + key] == integrals.get(key)
     assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
-    raw, _ = grid_ops.div_JH(fresh)
-    assert np.array_equal(state.div_JH, raw)
+    assert np.array_equal(state.div_JH, grid_ops.div_JH(fresh))
 
 
 def test_stalled_flow_step_keeps_cached_geometry():

@@ -148,27 +148,6 @@ def _reference_pair_quadratic(i, j, kind):
     return m
 
 
-@pytest.fixture(scope="module")
-def flowed_geo():
-    """One explicit V_f step off a spectral N=16 start: the frame has turned generic.
-
-    The step is tau = 1e-3 / max|V_f| along the descent potential, which
-    leaves a Legendrian residual of 5.8e-7.  The flow itself runs on graphs
-    and stays Legendrian, so it no longer makes such a grid.  The start is
-    the generic-mode one, Legendrian to roundoff at the torus nodes.
-    """
-    start = grid_ops.derived_geometry(immersions.perturbed_torus(
-        eps=0.02, n=16, scheme="spectral", seed=0, mode="generic"))
-    f = flow.descent_potential(grid_ops.div_JH(start)[0])
-    v = immersions.variation_field_on_positions(start.surface, f,
-                                                (start.d(f, 0), start.d(f, 1)))
-    tau = 1e-3 / np.max(norm(v))
-    geo = grid_ops.derived_geometry(
-        start.surface.with_positions(contact.normalize(start.jet.value + tau * v)))
-    assert not geo.frame.legendrian
-    return geo
-
-
 def _assert_extrinsic_identical(jet, frame, frame_sums=True):
     """Bhat and h bit for bit; Hvec, S and H2 within 8 ulp of references through no frame.
 
@@ -425,7 +404,7 @@ def test_frame_free_H_moves_at_the_legendrian_residual_on_a_flowed_grid(flowed_g
     projection by at most max|Bhat| times the max Legendrian residual;
     with the generic frame the two agree to roundoff.
     """
-    jet, res = flowed_geo.jet, float(np.max(flowed_geo.data.legendrian_residual))
+    jet, res = flowed_geo.jet, float(np.max(flowed_geo.frame.legendrian_residual))
     scale = np.max(np.abs(flowed_geo.data.Bhat))
     generic = np.max(np.abs(flowed_geo.data.Hvec - _frame_sum_H(flowed_geo.data,
                                                                 flowed_geo.frame)))

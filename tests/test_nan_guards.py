@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from legendrian_lab import flow, grid_ops, grids, immersions
+from legendrian_lab import extrinsic, flow, grid_ops, grids, immersions
 
 
 def _with_data(geo, **fields):
@@ -23,11 +23,19 @@ def _with_one_nan(field):
     return out
 
 
-def test_check_legendrian_rejects_nan(geometry_cache):
-    geo = geometry_cache("torus", 16, "spectral")
-    bad = _with_data(geo, legendrian_residual=_with_one_nan(geo.data.legendrian_residual))
+def test_check_legendrian_rejects_nan(geometry_cache, monkeypatch):
+    """The frame flag is the guard: a NaN residual makes the frame generic."""
+    surface = geometry_cache("torus", 16, "spectral").surface
+    inner = extrinsic.legendrian_residual
+
+    def with_one_nan(jet):
+        au, av = inner(jet)
+        return _with_one_nan(au), av
+
+    monkeypatch.setattr(extrinsic, "legendrian_residual", with_one_nan)
+    assert extrinsic.adapted_frame(surface.jets()).legendrian is False
     with pytest.raises(ValueError, match="requires a Legendrian"):
-        bad.check_legendrian()
+        grid_ops.derived_geometry(surface).check_legendrian()
 
 
 def test_check_normal_field_rejects_nan(geometry_cache):

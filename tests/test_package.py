@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +16,21 @@ def test_every_exported_name_resolves():
     assert len(set(legendrian_lab.__all__)) == len(legendrian_lab.__all__)
 
 
+def _library_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _names_read(trees):
+    """Every name and attribute the library loads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_public_function_is_exported_or_called_by_the_library():
     """Library code exists for a command or the public API, not for tests."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    trees = _library_trees()
+    referenced = _names_read(trees)
     defined = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -37,6 +43,17 @@ def test_every_public_function_is_exported_or_called_by_the_library():
               if not name.startswith("_") and name not in legendrian_lab.__all__
               and name not in referenced]
     assert unused == []
+
+
+def test_every_module_constant_is_read_by_the_library():
+    """A tolerance or limit that outlives its readers is a knob that does nothing."""
+    trees = _library_trees()
+    referenced = _names_read(trees)
+    defined = [(module, target.id) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.Assign) for target in node.targets
+               if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)]
+    assert defined  # the census sees the constants at all
+    assert [f"{module}:{name}" for module, name in defined if name not in referenced] == []
 
 
 def _uses_numpy_fft(tree):

@@ -67,8 +67,8 @@ def test_invariants_survive_unitary_motion_and_shift(scheme, mode):
 
     def fields(g):
         d = g.data
-        return {"S": d.S, "H2": d.H2, "K": d.K, "div_JH": grid_ops.div_JH(g)[0],
-                "legendrian_residual": d.legendrian_residual}
+        return {"S": d.S, "H2": d.H2, "K": d.K, "div_JH": grid_ops.div_JH(g),
+                "legendrian_residual": g.frame.legendrian_residual}
 
     for key, value in fields(geo).items():
         dev = np.max(np.abs(fields(geo_m)[key] - np.roll(value, SHIFT, axis=(0, 1))))

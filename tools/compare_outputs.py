@@ -37,9 +37,11 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # rejects trials; generic (non-Legendrian) frames on the integrals and
 # non-torus verify paths; the integrals of a theta-shifted torus; the
 # equatorial sphere, the one catalog surface no other op runs; a flow
-# with a non-default tau0 that stops at max_steps; and a verify whose
+# with a non-default tau0 that stops at max_steps; a verify whose
 # 2N = 256 grid is above grids._MATRIX_MAX_N, so it compares the direct
-# derivative path too
+# derivative path too; and an fd2 N=8 verify that trips div_JH's JH
+# tangency guard (exit 1, no reports), so losing the guard is an exit-code
+# difference
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -50,6 +52,7 @@ EXTRA_OPS = (
     ("verify", ("--surface", "equatorial-legendrian-sphere", "--grid", "32")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--tau0", "0.05", "--max-steps", "3")),
     ("verify", ("--epsilon", "0.02", "--grid", "128")),
+    ("verify", ("--epsilon", "0.02", "--grid", "8", "--scheme", "fd2")),
 )
 CHILD = """
 import sys
