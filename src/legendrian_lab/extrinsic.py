@@ -197,6 +197,12 @@ class ExtrinsicData:
     K = cached_property(lambda self: 0.5 * (2.0 + 4.0 * self.H2 - self.S))
 
 
+def check_induced_metric(det):
+    """Raise unless det g >= GRAM_DET_TOL everywhere (a NaN fails)."""
+    if not np.min(det) >= GRAM_DET_TOL:
+        raise ValueError(f"degenerate or non-finite induced metric: det g = {np.min(det):.3e}")
+
+
 def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     """Metric and H = (1/2) P_nu(sum_ij (c^T c)_ij d_ij x); the rest on first read.
 
@@ -206,8 +212,7 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     differs from it by the O(scheme) radial part of FD jets.
     """
     E, F, G, det = first_fundamental_form(jet.du, jet.dv)
-    if not np.min(det) >= GRAM_DET_TOL:
-        raise ValueError(f"degenerate or non-finite induced metric: det g = {np.min(det):.3e}")
+    check_induced_metric(det)
     g = np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
     ginv = np.stack([np.stack([G, -F], axis=-1), np.stack([-F, E], axis=-1)], axis=-2)
     ginv /= det[..., None, None]

@@ -6,8 +6,17 @@ dA = -int f^2 <= 0, and its zeros are exactly the contact stationary
 surfaces.  The flow runs on a LegendrianGraph, the torus
 arg z3 = h - arg z1 - arg z2, and a step h <- h + tau f / rho3 has
 contact component rho3 dh = f, that of V_f: the same first-order descent,
-and every iterate is Legendrian to rounding by construction.  Four
-numerical safeguards wrap the raw direction; all four keep descent
+and every iterate is Legendrian to rounding by construction.
+
+The cone over a Legendrian surface is Lagrangian in C^3, with Lagrangian
+angle beta = arg det_C(z, z_u, z_v) and 2H = J0 grad beta (Oh, Math. Z.
+212, 1993; Schoen and Wolfson, J. Differential Geom. 58, 2001), so
+f = -(1/2) Delta_g beta: raw_potential takes it from the graph's angle and
+metric with four scalar derivatives.  A flow step builds no jets, frame or
+DerivedGeometry; run_flow builds one, of the final surface, for the
+certificates of its report.
+
+Four numerical safeguards wrap the raw direction; all four keep descent
 intact, and the stationarity metric ||div JH||_2 is always evaluated on
 the raw field:
 
@@ -24,8 +33,8 @@ the raw field:
   there the raw div JH is mostly aliasing, and descending along it
   costs steps at every N and stalls the flow at N >= 64;
 * each step caps tau max|V_f|, the node displacement of the matching V_f
-  step, and a halving line search accepts only a trial that is a graph
-  and has a smaller area.
+  step, and a halving line search accepts only a trial that is a graph,
+  whose angle stays on its branch, and that has a smaller area.
 
 The 2/3 cut adds fixed points: surfaces whose raw div JH lies in the cut
 band.  run_flow stops as "under-resolved" when the band part exceeds the
@@ -42,10 +51,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import contact, grid_ops, grids
+from . import contact, extrinsic, grid_ops, grids
 from .contact import dot
-from .immersions import (GridSurface, LegendrianGraph, first_fundamental_form,
-                         variation_field_on_positions)
+from .immersions import GridSurface, LegendrianGraph, variation_field_on_positions
 from .report import Report
 
 TAU_UNDERFLOW = 1e-12
@@ -58,10 +66,14 @@ STEP_CAP = 2e-3  # largest node displacement of one step
 DIV_JH_FLOOR = 1e-10  # absolute stationarity target of run_flow
 
 
+def _quadrature(f, surface: GridSurface):
+    """Integral of a grid scalar against the surface's area measure, as grid_ops.quadrature."""
+    return float(np.sum(f * np.sqrt(surface.metric[3])) * grids.cell_area(surface.n))
+
+
 def area_of_positions(surface: GridSurface):
-    """Area of a grid surface from its (cached) first derivatives alone."""
-    *_, det = first_fundamental_form(*surface.first_derivatives)
-    return float(np.sum(np.sqrt(det)) * grids.cell_area(surface.n))
+    """Area of a grid surface from its (cached) metric alone."""
+    return _quadrature(1.0, surface)
 
 
 def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
@@ -118,23 +130,39 @@ def descent_potential(raw):
     return grids.fourier_filter(raw, torus_jacobi_multiplier(raw.shape[0]))
 
 
-def _band_split(div, geo: grid_ops.DerivedGeometry):
+def raw_potential(graph: LegendrianGraph):
+    """f = div(J0 H) = -(1/2) Delta_g beta from the graph's Lagrangian angle and metric.
+
+    Delta_g beta = (1/sqrt g) d_i (sqrt g g^{ij} d_j beta): four scalar
+    derivatives.  A ValueError from the angle means it left its branch.
+    """
+    E, F, G, det = graph.metric
+    sg = np.sqrt(det)
+    beta = graph.lagrangian_angle
+
+    def d(field, axis):
+        return grids.deriv(field, axis, graph.scheme)
+
+    bu, bv = d(beta, 0), d(beta, 1)
+    return -0.5 * (d((G * bu - F * bv) / sg, 0) + d((E * bv - F * bu) / sg, 1)) / sg
+
+
+def _band_split(div, surface: GridSurface):
     """L2 norms of div's 2/3-rule passband and cut-band parts, as div_JH_l2 is taken."""
-    band = grids.fourier_filter(div, _aliased_band(geo.n))
-    return tuple(float(np.sqrt(grid_ops.quadrature(part**2, geo))) for part in (div - band, band))
+    band = grids.fourier_filter(div, _aliased_band(surface.n))
+    return tuple(float(np.sqrt(_quadrature(part**2, surface))) for part in (div - band, band))
 
 
 @dataclass
 class FlowState:
-    """Flow iterate with the geometry and raw div JH of its current surface.
+    """Flow iterate: the current graph and its raw potential div_JH = raw_potential(surface).
 
-    geo and div_JH are built once per accepted surface, for its
-    diagnostics, and read again by the next flow_step and the final report.
+    Both are set once per accepted surface and read again by the next
+    flow_step and by run_flow; the metric is the surface's own, cached.
     Every field describes the last accepted surface.
     """
 
     surface: LegendrianGraph
-    geo: grid_ops.DerivedGeometry
     div_JH: np.ndarray
     step_index: int = 0
     tau: float = DEFAULT_TAU0
@@ -150,22 +178,27 @@ class FlowState:
         return self.area_history[-1]
 
 
-def _diagnostics(geo: grid_ops.DerivedGeometry):
-    div = grid_ops.div_JH(geo)
-    div_l2 = float(np.sqrt(grid_ops.quadrature(div**2, geo)))
-    leg = float(np.max(geo.frame.legendrian_residual))
-    frame = "legendrian" if geo.frame.legendrian else "generic"
-    return div, (div_l2, leg, frame)
+def _residuals(surface: LegendrianGraph, div):
+    """(||div||_2, max |alpha(x_i)|, frame) of an accepted surface; det g is checked first.
+
+    The residual reads the cached first derivatives, as the frame's does,
+    and the frame column is the flag adapted_frame would set from it.
+    """
+    extrinsic.check_induced_metric(surface.metric[3])
+    au, av = (contact.contact_form(surface.positions, x, check=False)
+              for x in surface.first_derivatives)
+    leg = float(np.max(np.maximum(np.abs(au), np.abs(av))))
+    frame = "legendrian" if leg <= extrinsic.LEGENDRIAN_FRAME_TOL else "generic"
+    return float(np.sqrt(_quadrature(div**2, surface))), leg, frame
 
 
 def start_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0) -> FlowState:
     if not isinstance(surface, LegendrianGraph):
         raise ValueError(f"the flow runs on a LegendrianGraph, got {type(surface).__name__}")
-    geo = grid_ops.derived_geometry(surface)
-    div, residuals = _diagnostics(geo)
-    state = FlowState(surface=surface, geo=geo, div_JH=div, tau=tau0, tau0=tau0)
-    state.area_history.append(grid_ops.surface_area(geo))
-    state.residual_history.append(residuals)
+    div = raw_potential(surface)
+    state = FlowState(surface=surface, div_JH=div, tau=tau0, tau0=tau0)
+    state.residual_history.append(_residuals(surface, div))
+    state.area_history.append(_quadrature(1.0, surface))
     return state
 
 
@@ -176,14 +209,14 @@ def flow_step(state: FlowState) -> FlowState:
     Rejected trials never enter the histories; tau regrows by 1.5x
     (capped at tau0) after acceptance so one stiff rejection does not pin
     the flow at a tiny step forever.  A stalled step, or one with no
-    descent direction, leaves the surface, its geometry and the histories
+    descent direction, leaves the surface, its potential and the histories
     untouched.
     """
     f = descent_potential(state.div_JH)
     surface = state.surface
     fu, fv = (grids.deriv(f, axis, surface.scheme) for axis in (0, 1))
-    ginv = state.geo.data.ginv
-    grad2 = ginv[..., 0, 0] * fu**2 + 2.0 * ginv[..., 0, 1] * fu * fv + ginv[..., 1, 1] * fv**2
+    E, F, G, det = surface.metric
+    grad2 = (G * fu**2 - 2.0 * F * fu * fv + E * fv**2) / det
     vmax = float(np.sqrt(np.max(f**2 + 0.25 * grad2)))
     if vmax == 0.0:
         state.stalled = True
@@ -196,24 +229,24 @@ def flow_step(state: FlowState) -> FlowState:
     for halvings in range(MAX_HALVINGS + 1):
         if tau < TAU_UNDERFLOW:
             break
-        try:
+        try:  # not a graph, non-finite, or its angle off the branch: halved, as a larger area is
             trial = LegendrianGraph(surface.h + tau * dh, surface.scheme)
-        except ValueError:  # not a graph (or non-finite): halved, as a larger area is
+            div = raw_potential(trial)
+        except ValueError:
             trial = None
-        if trial is not None and area_of_positions(trial) < area:
-            accepted = trial  # geometry below reuses the derivatives the area took
+        if trial is not None and (trial_area := area_of_positions(trial)) < area:
+            accepted = trial
             break
         tau *= 0.5
     if accepted is None:
         state.stalled = True
         return state
 
-    geo = grid_ops.derived_geometry(accepted)
-    div, residuals = _diagnostics(geo)
-    state.surface, state.geo, state.div_JH = accepted, geo, div
+    residuals = _residuals(accepted, div)
+    state.surface, state.div_JH = accepted, div
     state.step_index += 1
     state.tau = min(tau * 1.5, state.tau0)
-    state.area_history.append(grid_ops.surface_area(geo))
+    state.area_history.append(trial_area)
     state.residual_history.append(residuals)
     state.tau_history.append(tau)
     state.halvings_history.append(halvings)
@@ -240,6 +273,7 @@ class FlowResult:
     state: FlowState
     converged: bool
     report: Report
+    geometry: grid_ops.DerivedGeometry  # of the final surface, the one run_flow builds
 
 
 def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
@@ -251,7 +285,9 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
     says why the flow stopped (stop_reason, see the module docstring for
     under-resolved) and carries the stationarity certificates of the last
     accepted surface: the Euler-Lagrange residual, the comparison
-    integrals I1/I2 and the integral-identity residual E.
+    integrals I1/I2 and the integral-identity residual E, all read off the
+    one DerivedGeometry the run builds, and final_div_JH_operator_dev, the
+    largest gap between the flow's -(1/2) Delta_g beta and grid_ops.div_JH.
     """
     if not (tol > 0 and tau0 > 0):
         raise ValueError("tol and tau0 must be positive")
@@ -260,7 +296,7 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
     target = max(tol * initial_div, DIV_JH_FLOOR)
     stop_reason = None
     while stop_reason is None:
-        passband, band = _band_split(state.div_JH, state.geo)
+        passband, band = _band_split(state.div_JH, state.surface)
         if state.residual_history[-1][0] <= target:
             stop_reason = "converged"
         elif band > target and (passband <= target or (state.stalled and band >= passband)):
@@ -271,8 +307,10 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
             flow_step(state)
     converged = stop_reason == "converged"
 
-    integrals = grid_ops.integral_report(state.geo)
-    el = grid_ops.el_residual(state.geo)
+    geo = grid_ops.derived_geometry(state.surface)
+    operator_dev = float(np.max(np.abs(state.div_JH - grid_ops.div_JH(geo))))
+    integrals = grid_ops.integral_report(geo)
+    el = grid_ops.el_residual(geo)
     rep = Report()
     rep.set("steps", state.step_index)
     rep.set("converged", converged)
@@ -283,9 +321,10 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
     rep.set("initial_div_JH_l2", initial_div)
     rep.set("final_div_JH_l2", state.residual_history[-1][0])
     rep.set("final_div_JH_band_l2", band)
+    rep.set("final_div_JH_operator_dev", operator_dev)
     rep.set("final_el_residual_sup", float(np.max(contact.norm(el))))
     rep.set("max_legendrian_residual", max(r[1] for r in state.residual_history))
-    rep.set("final_S_max_dev", float(np.max(np.abs(state.geo.data.S - 2.0))))
+    rep.set("final_S_max_dev", float(np.max(np.abs(geo.data.S - 2.0))))
     for key in ("W", "I1", "I2", "E", "Sigma_Simons"):
         rep.set("final_" + key, integrals.get(key))
-    return FlowResult(state=state, converged=converged, report=rep)
+    return FlowResult(state=state, converged=converged, report=rep, geometry=geo)

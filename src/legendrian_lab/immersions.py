@@ -30,6 +30,7 @@ from . import contact, grids
 SQRT3 = np.sqrt(3.0)
 
 GRID_FORMAT_HEADER = "legendrian-lab grid v1"
+ANGLE_BRANCH_LIMIT = 0.75 * np.pi  # largest |arg(-minor)| a LegendrianGraph's angle is read at
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,11 @@ class GridSurface:
         """(d_u x, d_v x), taken on first read and shared by jets() and the flow's area."""
         return tuple(grids.deriv(self.positions, axis, self.scheme) for axis in (0, 1))
 
+    @functools.cached_property
+    def metric(self):
+        """(E, F, G, det g) of the cached first derivatives, built on first read."""
+        return first_fundamental_form(*self.first_derivatives)
+
     def jets(self) -> Jet2:
         p = self.positions
         s = self.scheme
@@ -264,7 +270,9 @@ class LegendrianGraph(GridSurface):
     rho1 = (1 - h_u) rho3, rho2 = (1 - h_v) rho3: every Legendrian torus
     C^1-close to the flat one is such a graph, and h = theta is
     legendrian_torus(theta).  Positions and first derivatives come from h
-    by the chain rule, so the graph is Legendrian to rounding in every scheme.
+    by the chain rule, so the graph is Legendrian to rounding in every scheme;
+    the metric and the Lagrangian angle of the cone come from the same
+    multipliers, so the flow reads its potential off them alone.
     """
 
     def __init__(self, h, scheme="fd4"):
@@ -290,20 +298,42 @@ class LegendrianGraph(GridSurface):
         super().__init__(positions=z.view(float), scheme=scheme)
 
     @functools.cached_property
-    def first_derivatives(self):
-        """x_i = z (d_i log rho / 2 + i d_i arg z) componentwise, from h alone."""
+    def _multipliers(self):
+        """(m_u, m_v), m_i = d_i log rho / 2 + i d_i arg z componentwise, so z_i = z m_i."""
         s, h, rho3 = self.scheme, self.h, self.rho3
         hu, hv = self._dh
         a, b = 1.0 - hu, 1.0 - hv
         huu, hvv = (grids.deriv(h, axis, s, order=2) for axis in (0, 1))
         huv = grids.deriv(hu, 1, s)  # composed first derivatives, as jets() takes x_uv
         lu, lv = rho3 * (huu + huv), rho3 * (huv + hvv)  # d_u and d_v of log rho3
+        mu = np.stack([0.5 * (lu - huu / a) + 1j, 0.5 * (lu - huv / b), 0.5 * lu - 1j * a], axis=-1)
+        mv = np.stack([0.5 * (lv - huv / a), 0.5 * (lv - hvv / b) + 1j, 0.5 * lv - 1j * b], axis=-1)
+        return mu, mv
+
+    @functools.cached_property
+    def first_derivatives(self):
+        """x_i = z m_i componentwise, from h alone."""
         z = self.positions.view(complex)
-        xu = z * np.stack([0.5 * (lu - huu / a) + 1j, 0.5 * (lu - huv / b), 0.5 * lu - 1j * a],
-                          axis=-1)
-        xv = z * np.stack([0.5 * (lv - huv / a), 0.5 * (lv - hvv / b) + 1j, 0.5 * lv - 1j * b],
-                          axis=-1)
-        return xu.view(float), xv.view(float)
+        return tuple((z * m).view(float) for m in self._multipliers)
+
+    @functools.cached_property
+    def lagrangian_angle(self):
+        """beta = arg det_C(z, z_u, z_v) = h + arg(-det[1; m_u; m_v]), the cone's Lagrangian angle.
+
+        The columns of (z, z_u, z_v) are z_k (1, m_u[k], m_v[k]) and
+        z1 z2 z3 = sqrt(rho1 rho2 rho3) e^{ih}, so the 3x3 minor is (N, N)
+        complex arithmetic.  It is -3 on the flat torus and its argument
+        nears pi only as min(1 - h_u, 1 - h_v) nears 0; past
+        ANGLE_BRANCH_LIMIT a ValueError is raised, since the principal
+        argument could then jump by 2 pi between neighbouring nodes.
+        """
+        (a1, a2, a3), (b1, b2, b3) = (np.moveaxis(m, -1, 0) for m in self._multipliers)
+        offset = np.angle((a1 * b3 - a3 * b1) - (a2 * b3 - a3 * b2) - (a1 * b2 - a2 * b1))
+        worst = float(np.max(np.abs(offset)))
+        if not worst <= ANGLE_BRANCH_LIMIT:
+            raise ValueError(f"Lagrangian angle leaves its branch: max |arg(-minor)| = "
+                             f"{worst:.3f} > {ANGLE_BRANCH_LIMIT:.3f}")
+        return self.h + offset
 
     def jets(self) -> Jet2:
         """GridSurface.jets less the Reeb part of x_ij, which holds only the scheme's error.
@@ -378,7 +408,7 @@ def variation_field_on_positions(surface: GridSurface, f, df):
     order (the drift is quadratic in the displacement).
     """
     xu, xv = surface.first_derivatives
-    g11, g12, g22, det = first_fundamental_form(xu, xv)
+    g11, g12, g22, det = surface.metric
     fu, fv = df
     cu = (g22 * fu - g12 * fv) / det
     cv = (-g12 * fu + g11 * fv) / det

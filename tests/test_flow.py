@@ -124,6 +124,37 @@ def test_descent_potential_is_positive_multiplier():
     assert mult[11, 0] == 0.0 and mult[0, -11] == 0.0 and mult[16, 16] == 0.0
 
 
+# ---------------------------------------------------------------------------
+# the raw potential -(1/2) Delta_g beta against the operator div(J0 H)
+
+
+def _operator_gap(scheme, n, seed=0, eps=0.02):
+    graph = immersions.perturbed_torus(eps=eps, n=n, scheme=scheme, seed=seed, mode="stable")
+    div = grid_ops.div_JH(grid_ops.derived_geometry(graph))
+    return float(np.max(np.abs(flow.raw_potential(graph) - div))), div
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_raw_potential_is_div_JH_on_spectral_grids(seed):
+    """2H = J0 grad beta on the cone, so div(J0 H) = -(1/2) Delta_g beta (measured <= 4e-11)."""
+    gap, div = _operator_gap("spectral", 64, seed=seed)
+    assert gap <= 1e-9
+    assert np.max(np.abs(div)) > 0.05  # the identity is not read off a vanishing field
+
+
+def test_raw_potential_meets_div_JH_at_fourth_order_in_fd4():
+    """fd4 gaps 2.5e-3, 1.8e-4, 1.2e-5 at N = 32, 64, 128: both sides carry O(N^-4) errors."""
+    gaps = [_operator_gap("fd4", n)[0] for n in (32, 64, 128)]
+    orders = [np.log2(coarse / fine) for coarse, fine in zip(gaps, gaps[1:])]
+    assert min(orders) >= 3.5
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+def test_raw_potential_vanishes_on_the_flat_torus(scheme):
+    graph = immersions.perturbed_torus(eps=0.0, theta=1.0, n=32, scheme=scheme, mode="stable")
+    assert np.max(np.abs(flow.raw_potential(graph))) <= 1e-12
+
+
 def test_flow_step_strict_descent_and_rejection_bookkeeping():
     state = flow.start_flow(_stable_start(n=16), tau0=0.05)
     for _ in range(5):
@@ -134,37 +165,46 @@ def test_flow_step_strict_descent_and_rejection_bookkeeping():
     assert len(state.tau_history) == state.step_index
 
 
-def test_run_flow_builds_one_geometry_per_accepted_surface(monkeypatch):
-    calls = []
-    build = grid_ops.derived_geometry
+def test_run_flow_builds_one_geometry_of_the_final_surface(monkeypatch):
+    """Steps read -(1/2) Delta_g beta off the graph; only the final report builds a geometry."""
+    calls, frames = [], []
+    build, frame = grid_ops.derived_geometry, extrinsic.adapted_frame
 
     def counted(surface):
         calls.append(surface)
         return build(surface)
 
+    def counted_frame(jet):
+        frames.append(jet)
+        return frame(jet)
+
     monkeypatch.setattr(flow.grid_ops, "derived_geometry", counted)
+    monkeypatch.setattr(extrinsic, "adapted_frame", counted_frame)
     result = flow.run_flow(_stable_start(n=16), max_steps=5000, tol=1e-4)
     state, rep = result.state, result.report
     assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
-    assert len(calls) == rep["steps"] + 1
-    assert state.geo.surface is state.surface
-    # the cached geometry is the geometry of the final surface, not a stale one;
-    # a new graph of the final h differentiates it again
-    fresh = build(immersions.LegendrianGraph(state.surface.h, state.surface.scheme))
+    assert len(calls) == 1 and len(frames) == 1
+    assert calls[0] is state.surface and result.geometry.surface is state.surface
+    # the report describes the final surface, not a stale one; a new graph
+    # of the final h differentiates it again
+    graph = immersions.LegendrianGraph(state.surface.h, state.surface.scheme)
+    fresh = build(graph)
     integrals = grid_ops.integral_report(fresh)
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
         assert rep["final_" + key] == integrals.get(key)
     assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
-    assert np.array_equal(state.div_JH, grid_ops.div_JH(fresh))
+    assert np.array_equal(state.div_JH, flow.raw_potential(graph))
+    dev = float(np.max(np.abs(state.div_JH - grid_ops.div_JH(fresh))))
+    assert rep["final_div_JH_operator_dev"] == dev
 
 
 def test_stalled_flow_step_keeps_cached_geometry():
     state = flow.start_flow(_stable_start(n=16))
-    surface, geo, div = state.surface, state.geo, state.div_JH
+    surface, div = state.surface, state.div_JH
     state.tau = 0.0  # every trial step is below the underflow floor
     flow.flow_step(state)
     assert state.stalled
-    assert state.surface is surface and state.geo is geo and state.div_JH is div
+    assert state.surface is surface and state.div_JH is div
     assert state.step_index == 0 and len(state.area_history) == 1
 
 
@@ -283,8 +323,8 @@ def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_pa
     result = flow.run_flow(_stable_start(n=16), tau0=0.05, max_steps=5000, tol=1e-4)
     state, rep = result.state, result.report
     assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
-    assert len(calls) == 1 and calls[0] is state.geo
-    el = grid_ops.el_residual(state.geo)
+    assert len(calls) == 1 and calls[0] is result.geometry
+    el = grid_ops.el_residual(result.geometry)
     assert rep["final_el_residual_sup"] == float(np.max(contact.norm(el)))
     # every trial but the accepted one of each step is a halving
     halvings = [int(row[5]) for row in _csv_rows(state, tmp_path)]
@@ -339,9 +379,9 @@ def test_fd4_flow_steps_never_build_the_generic_normal_frame(monkeypatch):
 
 
 def test_spectral_32_flow_differentiates_each_accepted_surface_once(monkeypatch):
-    """A trial differentiates the scalar h; an accepted surface adds three (N, N, 6) derivatives.
+    """A trial differentiates the scalar h and its angle; only the final surface takes jets.
 
-    Seed 0 measures 1002 calls over 38.8 MB of input and output.
+    Seed 0 measures 926 calls over 17.9 MB of input and output.
     """
     calls, nbytes = [], []
     deriv = grids.deriv
@@ -355,12 +395,12 @@ def test_spectral_32_flow_differentiates_each_accepted_surface_once(monkeypatch)
     monkeypatch.setattr(grids, "deriv", counted)
     result = flow.run_flow(_stable_start(), max_steps=5000, tol=1e-4)
     assert result.report["stop_reason"] == "converged"
-    assert len(calls) <= 1050
-    assert sum(nbytes) <= 40e6
-    # the accepted trial's first derivatives, taken for its area, are the geometry's
-    state = result.state
-    assert state.geo.jet.du is state.surface.first_derivatives[0]
-    assert state.geo.jet.dv is state.surface.first_derivatives[1]
+    assert len(calls) <= 930
+    assert sum(nbytes) <= 18.0e6
+    # the final trial's first derivatives, taken for its area, are the geometry's
+    state, geo = result.state, result.geometry
+    assert geo.jet.du is state.surface.first_derivatives[0]
+    assert geo.jet.dv is state.surface.first_derivatives[1]
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +458,54 @@ def test_non_finite_trial_is_halved_like_a_larger_area(monkeypatch):
     assert np.all(np.isfinite(state.surface.positions))
 
 
+def test_trial_whose_angle_leaves_its_branch_is_halved_like_a_non_graph(monkeypatch):
+    """The first trial is a graph (min 1 - h_u = 0.01) whose Lagrangian angle is off its branch.
+
+    Its |arg(-minor)| reads 2.82 against ANGLE_BRANCH_LIMIT = 3 pi / 4.  Its
+    area is reported as 0, so only the angle guard can reject it.
+    """
+    graph, area, calls = flow.LegendrianGraph, flow.area_of_positions, []
+    uu, vv = grids.grid_nodes(16)
+    off_branch = 0.33 * (np.sin(3 * uu) + np.sin(3 * vv))
+    with pytest.raises(ValueError, match="leaves its branch"):
+        graph(off_branch, "spectral").lagrangian_angle
+
+    def off_branch_on_first_trial(h, scheme):
+        calls.append(1)
+        return graph(off_branch if len(calls) == 1 else h, scheme)
+
+    plain = flow.start_flow(_stable_start(n=16))
+    flow.flow_step(plain)
+    state = flow.start_flow(_stable_start(n=16))
+    monkeypatch.setattr(flow, "LegendrianGraph", off_branch_on_first_trial)
+    monkeypatch.setattr(flow, "area_of_positions",
+                        lambda s: 0.0 if np.array_equal(s.h, off_branch) else area(s))
+    flow.flow_step(state)
+    assert state.step_index == 1 and not state.stalled
+    assert state.halvings_history == [plain.halvings_history[0] + 1]
+    assert state.area < state.area_history[0]
+
+
+def test_accepted_surface_with_a_degenerate_metric_raises(monkeypatch):
+    """det g below GRAM_DET_TOL raises, as in extrinsic_data, and keeps the last accepted state."""
+    state = flow.start_flow(_stable_start(n=16))
+    surface = state.surface
+    monkeypatch.setattr(extrinsic, "GRAM_DET_TOL", 1.0)  # det g is ~1/3 on these tori
+    with pytest.raises(ValueError, match="degenerate or non-finite induced metric"):
+        flow.flow_step(state)
+    assert state.surface is surface and state.step_index == 0
+    with pytest.raises(ValueError, match="degenerate or non-finite induced metric"):
+        flow.start_flow(surface)
+
+
 def _band_l2s(state):
     """L2 norms of the raw div JH inside and outside the 2/3-rule passband."""
-    n = state.geo.n
+    n = state.surface.n
     k = np.abs(np.fft.fftfreq(n, d=1.0 / n))
     cut = (k[:, None] >= n / 3) | (k[None, :] >= n / 3)
     band = np.fft.ifft2(np.fft.fft2(state.div_JH) * cut).real
-    return [np.sqrt(grid_ops.quadrature(part**2, state.geo))
+    *_, det = immersions.first_fundamental_form(*state.surface.first_derivatives)
+    return [np.sqrt(np.sum(part**2 * np.sqrt(det)) * grids.cell_area(n))
             for part in (state.div_JH - band, band)]
 
 

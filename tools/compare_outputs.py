@@ -33,15 +33,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # ops outside the workloads: the fd2 flow; the fd4 N=16 flow, which stops
-# under-resolved; a flow from a large perturbation, whose line search
-# rejects trials; generic (non-Legendrian) frames on the integrals and
-# non-torus verify paths; the integrals of a theta-shifted torus; the
-# equatorial sphere, the one catalog surface no other op runs; a flow
-# with a non-default tau0 that stops at max_steps; a verify whose
-# 2N = 256 grid is above grids._MATRIX_MAX_N, so it compares the direct
-# derivative path too; and an fd2 N=8 verify that trips div_JH's JH
-# tangency guard (exit 1, no reports), so losing the guard is an exit-code
-# difference
+# under-resolved; a flow from a large perturbation, under-resolved at
+# N = 32, where the flow's potential and div_JH differ most; generic
+# (non-Legendrian) frames on the integrals and non-torus verify paths;
+# the integrals of a theta-shifted torus; the equatorial sphere, the one
+# catalog surface no other op runs; a flow with a non-default tau0 that
+# stops at max_steps; a verify whose 2N = 256 grid is above
+# grids._MATRIX_MAX_N, so it compares the direct derivative path too; and
+# an fd2 N=8 verify that trips div_JH's JH tangency guard (exit 1, no
+# reports), so losing the guard is an exit-code difference
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
