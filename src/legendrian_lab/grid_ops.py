@@ -12,7 +12,9 @@ related on one-forms by Delta_h theta = -Delta theta + K theta.
 The mean curvature vector is H = (1/2) g^{ij} B_ij.
 
 Grid field shapes: scalars (N, N), one-forms (N, N, 2) in the (du, dv)
-coframe, ambient/normal vector fields (N, N, 6).
+coframe, ambient/normal vector fields (N, N, 6).  Sums over the 2- and
+3-long frame indices are written out term by term over (N, N) slices,
+never as per-point contractions.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class DerivedGeometry:
     def tangential_components(self, w):
         """Contravariant components w^a of the tangential part of w."""
         cov = np.stack([dot(w, self.jet.du), dot(w, self.jet.dv)], axis=-1)
-        return np.einsum("...ab,...b->...a", self.data.ginv, cov)
+        return _matvec(self.data.ginv, cov)
 
     def check_legendrian(self, what="operation"):
         """Raise unless the frame is Legendrian, the one predicate of adapted_frame."""
@@ -84,6 +86,11 @@ class DerivedGeometry:
             res = float(np.max(self.frame.legendrian_residual))
             raise ValueError(f"{what} requires a Legendrian grid surface: residual "
                              f"{res:.3e} > {extrinsic.LEGENDRIAN_FRAME_TOL:.1e}")
+
+
+def _matvec(m, v):
+    """m_ab v_b per point for 2x2 m and 2-vectors v, summed in b order."""
+    return m[..., 0] * v[..., 0, None] + m[..., 1] * v[..., 1, None]
 
 
 def derived_geometry(surface: GridSurface) -> DerivedGeometry:
@@ -217,25 +224,32 @@ def el_residual(geo: DerivedGeometry):
 def oneform_covariant_derivative(theta, geo: DerivedGeometry):
     """(nabla theta)_{ij} = d_i theta_j - Gamma^k_{ij} theta_k."""
     dtheta = np.stack([geo.d(theta, 0), geo.d(theta, 1)], axis=-2)
-    return dtheta - np.einsum("...kij,...k->...ij", geo.gamma, theta)
+    gam = geo.gamma
+    return dtheta - (gam[..., 0, :, :] * theta[..., 0, None, None]
+                     + gam[..., 1, :, :] * theta[..., 1, None, None])
 
 
 def oneform_rough_laplacian(theta, geo: DerivedGeometry):
     """Trace of the second covariant derivative; negative spectrum."""
     nth = oneform_covariant_derivative(theta, geo)
-    # (nabla^2 theta)_{ikj} = d_i nth_{kj} - Gamma^l_{ik} nth_{lj} - Gamma^l_{ij} nth_{kl}
-    dn = np.stack([geo.d(nth, 0), geo.d(nth, 1)], axis=-3)
-    second = (
-        dn
-        - np.einsum("...lik,...lj->...ikj", geo.gamma, nth)
-        - np.einsum("...lij,...kl->...ikj", geo.gamma, nth)
-    )
-    return np.einsum("...ik,...ikj->...j", geo.data.ginv, second)
+    gam, ginv = geo.gamma, geo.data.ginv
+    out = np.zeros_like(theta)
+    for i in range(2):
+        dn = geo.d(nth, i)
+        for k in range(2):
+            # (nabla^2 theta)_{ikj} = d_i nth_{kj} - Gamma^l_{ik} nth_{lj} - Gamma^l_{ij} nth_{kl}
+            second = (dn[..., k, :]
+                      - (gam[..., 0, i, k, None] * nth[..., 0, :]
+                         + gam[..., 1, i, k, None] * nth[..., 1, :])
+                      - (gam[..., 0, i, :] * nth[..., k, 0, None]
+                         + gam[..., 1, i, :] * nth[..., k, 1, None]))
+            out = out + ginv[..., i, k, None] * second
+    return out
 
 
 def codifferential(theta, geo: DerivedGeometry):
     """delta theta = -(1/sqrt g) d_i (sqrt g g^{ij} theta_j)."""
-    return -divergence(np.einsum("...ab,...b->...a", geo.data.ginv, theta), geo)
+    return -divergence(_matvec(geo.data.ginv, theta), geo)
 
 
 def oneform_hodge_laplacian(theta, geo: DerivedGeometry):
@@ -246,13 +260,14 @@ def oneform_hodge_laplacian(theta, geo: DerivedGeometry):
     curl = geo.d(theta[..., 1], 0) - geo.d(theta[..., 0], 1)
     s = curl / sg
     t_up = np.stack([geo.d(s, 1), -geo.d(s, 0)], axis=-1)
-    delta_d = np.einsum("...ij,...j->...i", geo.data.g, t_up) / sg[..., None]
+    delta_d = _matvec(geo.data.g, t_up) / sg[..., None]
     return d_delta + delta_d
 
 
 def oneform_norm(theta, geo: DerivedGeometry):
     """Pointwise metric norm of a one-form."""
-    return np.sqrt(np.einsum("...ij,...i,...j->...", geo.data.ginv, theta, theta))
+    up = _matvec(geo.data.ginv, theta)
+    return np.sqrt(theta[..., 0] * up[..., 0] + theta[..., 1] * up[..., 1])
 
 
 def oneform_laplacians(theta, geo: DerivedGeometry):
@@ -385,49 +400,47 @@ def normal_gradient_H_squared(geo: DerivedGeometry):
     """|nabla^nu H|^2 by differentiating the vector field and projecting.
 
     Frame-free (projector-based): it reads the tangents and the normal
-    projector only, never the normal frame.
+    projector only, never the normal frame.  The sphere connection's
+    p-term is left out, as the projection removes it again.
     """
-    p = geo.jet.value
-    e = geo.frame.tangents()
-    hvec = geo.data.Hvec
-    out = np.zeros(p.shape[:-1])
-    for k, dh in enumerate(geo.d_frame(hvec)):
-        w = geo.frame.normal_part(contact.sphere_connection(p, hvec, dh, e[k]))
+    out = np.zeros((geo.n, geo.n))
+    for dh in geo.d_frame(geo.data.Hvec):
+        w = geo.frame.normal_part(dh)
         out = out + dot(w, w)
     return out
 
 
+def _frame_connection(fields, geo: DerivedGeometry):
+    """c[k][a][b] = <D_k F_a, F_b> as nested lists of (N, N) fields.
+
+    Each field's derivative pair is read and dropped before the next
+    field is differentiated.
+    """
+    rows = [[[dot(dfa, fb) for fb in fields] for dfa in geo.d_frame(fa)] for fa in fields]
+    return [[rows[a][k] for a in range(len(fields))] for k in range(2)]
+
+
 def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     geo.check_legendrian(what="gradient_norm_decomposition")
-    p = geo.jet.value
-    e = geo.frame.tangents()
-    normals = geo.frame.normals()
     bhat = geo.data.Bhat
+    omega = _frame_connection(geo.frame.tangents(), geo)  # tangential, <D_k E_a, E_b>
+    sigma = _frame_connection(geo.frame.normals(), geo)   # normal, <D_k N_beta, N_gamma>
 
-    # tangential frame connection omega[k, a, b] = <D_k E_a, E_b>
-    omega = np.empty(p.shape[:-1] + (2, 2, 2))
-    for a in range(2):
-        for k, de in enumerate(geo.d_frame(e[a])):
-            for b in range(2):
-                omega[..., k, a, b] = dot(de, e[b])
-    # normal connection sigma[k, beta, gamma] = <D_k N_beta, N_gamma>
-    sigma = np.empty(p.shape[:-1] + (2, 3, 3))
-    for b in range(3):
-        for k, dn in enumerate(geo.d_frame(normals[b])):
-            for g in range(3):
-                sigma[..., k, b, g] = dot(dn, normals[g])
+    # Bhat and h are symmetric in their two tangent indices, so each sum over
+    # them takes the (0, 1) entry once and counts it twice
+    pairs = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0))
 
-    # frame-free full covariant derivative of B (vector route), one (a, b)
-    # slice differentiated at a time
-    full_h2 = np.zeros(p.shape[:-1])
-    for a in range(2):
-        for b in range(2):
-            bab = bhat[..., a, b, :]
-            for k, dbab in enumerate(geo.d_frame(bab)):
-                w = geo.frame.normal_part(contact.sphere_connection(p, bab, dbab, e[k]))
-                w = w - sum(omega[..., k, a, l, None] * bhat[..., l, b, :] for l in range(2))
-                w = w - sum(omega[..., k, b, l, None] * bhat[..., a, l, :] for l in range(2))
-                full_h2 = full_h2 + dot(w, w)
+    # frame-free full covariant derivative of B (vector route)
+    full_h2 = np.zeros((geo.n, geo.n))
+    for a, b, count in pairs:
+        for k, dbab in enumerate(geo.d_frame(bhat[..., a, b, :])):
+            oa, ob = omega[k][a], omega[k][b]
+            w = (geo.frame.normal_part(dbab)
+                 - (oa[0][..., None] * bhat[..., 0, b, :]
+                    + oa[1][..., None] * bhat[..., 1, b, :])
+                 - (ob[0][..., None] * bhat[..., a, 0, :]
+                    + ob[1][..., None] * bhat[..., a, 1, :]))
+            full_h2 = full_h2 + count * dot(w, w)
 
     full_H2 = normal_gradient_H_squared(geo)
 
@@ -437,16 +450,18 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     tangential_h2 = np.zeros_like(full_h2)
     tangential_H2 = np.zeros_like(full_H2)
     for k, (dH, dh) in enumerate(zip(geo.d_frame(hcomp), geo.d_frame(h[..., :2, :, :]))):
-        Hk = dH - np.einsum("...bg,...g->...b", sigma[..., k, :, :], hcomp)
-        tangential_H2 = tangential_H2 + Hk[..., 0] ** 2 + Hk[..., 1] ** 2
+        o, s = omega[k], sigma[k]
         for b in range(2):
-            habk = (
-                dh[..., b, :, :]
-                - np.einsum("...g,...gij->...ij", sigma[..., k, b, :], h)
-                - np.einsum("...il,...lj->...ij", omega[..., k, :, :], h[..., b, :, :])
-                - np.einsum("...jl,...il->...ij", omega[..., k, :, :], h[..., b, :, :])
-            )
-            tangential_h2 = tangential_h2 + np.einsum("...ij,...ij->...", habk, habk)
+            Hk = dH[..., b] - (s[b][0] * hcomp[..., 0] + s[b][1] * hcomp[..., 1]
+                               + s[b][2] * hcomp[..., 2])
+            tangential_H2 = tangential_H2 + Hk**2
+            for i, j, count in pairs:
+                habk = (dh[..., b, i, j]
+                        - (s[b][0] * h[..., 0, i, j] + s[b][1] * h[..., 1, i, j]
+                           + s[b][2] * h[..., 2, i, j])
+                        - (o[i][0] * h[..., b, 0, j] + o[i][1] * h[..., b, 1, j])
+                        - (o[j][0] * h[..., b, i, 0] + o[j][1] * h[..., b, i, 1]))
+                tangential_h2 = tangential_h2 + count * habk**2
 
     return GradientNorms(
         full_h2=full_h2,

@@ -6,8 +6,10 @@ not merely close values, and the shared connection-Laplacian loop must
 give the same bits as the two loops it merges.  The same holds for the
 scalar operators and the Hamiltonian basis matrices rewritten without
 changing their arithmetic.  The frame-free H, S = |Bhat|^2, the real
-FFT derivative and the real 2-D Fourier filter change the arithmetic on
-purpose; they are held to stated tolerances.
+FFT derivative, the real 2-D Fourier filter, and the frame-index sums of
+gradient_norm_decomposition and oneform_rough_laplacian written out term
+by term change the arithmetic on purpose; they are held to stated
+tolerances.
 """
 
 import dataclasses
@@ -121,6 +123,75 @@ def _reference_codifferential(theta, geo):
     sg = geo.data.sqrt_det_g
     up = np.einsum("...ab,...b->...a", geo.data.ginv, theta)
     return -(geo.d(sg * up[..., 0], 0) + geo.d(sg * up[..., 1], 1)) / sg
+
+
+def _reference_oneform_rough_laplacian(theta, geo):
+    """The rough Laplacian through per-point einsum contractions."""
+    dtheta = np.stack([geo.d(theta, 0), geo.d(theta, 1)], axis=-2)
+    nth = dtheta - np.einsum("...kij,...k->...ij", geo.gamma, theta)
+    dn = np.stack([geo.d(nth, 0), geo.d(nth, 1)], axis=-3)
+    second = (
+        dn
+        - np.einsum("...lik,...lj->...ikj", geo.gamma, nth)
+        - np.einsum("...lij,...kl->...ikj", geo.gamma, nth)
+    )
+    return np.einsum("...ik,...ikj->...j", geo.data.ginv, second)
+
+
+def _reference_gradient_norm_decomposition(geo):
+    """full/tangential |nabla h|^2 and |nabla H|^2 through connection arrays and einsum.
+
+    Every (a, b) slice of Bhat is differentiated, and every vector
+    derivative takes the sphere connection's p-term before its projection.
+    """
+    p = geo.jet.value
+    e = geo.frame.tangents()
+    normals = geo.frame.normals()
+    bhat = geo.data.Bhat
+    omega = np.empty(p.shape[:-1] + (2, 2, 2))  # omega[k, a, b] = <D_k E_a, E_b>
+    for a in range(2):
+        for k, de in enumerate(geo.d_frame(e[a])):
+            for b in range(2):
+                omega[..., k, a, b] = dot(de, e[b])
+    sigma = np.empty(p.shape[:-1] + (2, 3, 3))  # sigma[k, beta, gamma] = <D_k N_beta, N_gamma>
+    for b in range(3):
+        for k, dn in enumerate(geo.d_frame(normals[b])):
+            for g in range(3):
+                sigma[..., k, b, g] = dot(dn, normals[g])
+    full_h2 = np.zeros(p.shape[:-1])
+    for a in range(2):
+        for b in range(2):
+            bab = bhat[..., a, b, :]
+            for k, dbab in enumerate(geo.d_frame(bab)):
+                w = geo.frame.normal_part(contact.sphere_connection(p, bab, dbab, e[k]))
+                w = w - sum(omega[..., k, a, l, None] * bhat[..., l, b, :] for l in range(2))
+                w = w - sum(omega[..., k, b, l, None] * bhat[..., a, l, :] for l in range(2))
+                full_h2 = full_h2 + dot(w, w)
+    full_H2 = np.zeros(p.shape[:-1])
+    for k, dh in enumerate(geo.d_frame(geo.data.Hvec)):
+        w = geo.frame.normal_part(contact.sphere_connection(p, geo.data.Hvec, dh, e[k]))
+        full_H2 = full_H2 + dot(w, w)
+    h, hcomp = geo.data.h, geo.data.Hcomp
+    tangential_h2 = np.zeros_like(full_h2)
+    tangential_H2 = np.zeros_like(full_H2)
+    for k, (dH, dh) in enumerate(zip(geo.d_frame(hcomp), geo.d_frame(h[..., :2, :, :]))):
+        Hk = dH - np.einsum("...bg,...g->...b", sigma[..., k, :, :], hcomp)
+        tangential_H2 = tangential_H2 + Hk[..., 0] ** 2 + Hk[..., 1] ** 2
+        for b in range(2):
+            habk = (
+                dh[..., b, :, :]
+                - np.einsum("...g,...gij->...ij", sigma[..., k, b, :], h)
+                - np.einsum("...il,...lj->...ij", omega[..., k, :, :], h[..., b, :, :])
+                - np.einsum("...jl,...il->...ij", omega[..., k, :, :], h[..., b, :, :])
+            )
+            tangential_h2 = tangential_h2 + np.einsum("...ij,...ij->...", habk, habk)
+    return {
+        "full_h2": full_h2, "tangential_h2": tangential_h2,
+        "full_H2": full_H2, "tangential_H2": tangential_H2,
+        "residual_h": full_h2 - tangential_h2 - geo.data.S,
+        "residual_H": full_H2 - tangential_H2 - geo.data.H2,
+        "li_margin": tangential_h2 - 3.0 * tangential_H2,
+    }
 
 
 def _reference_pair_quadratic(i, j, kind):
@@ -371,7 +442,49 @@ def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkey
 
     monkeypatch.setattr(grids, "deriv", counted)
     grid_ops.gradient_norm_decomposition(geo)
-    assert len(calls) <= 24
+    # 2 tangents, 3 normals, the 3 distinct Bhat slices, H, H's components and h^1, h^2
+    assert len(calls) == 22
+
+
+def _legendrian_flowed_geo(flowed_geo, monkeypatch):
+    """flowed_geo with its frame forced Legendrian (residual 5.8e-7 against a 1e-6 threshold)."""
+    monkeypatch.setattr(extrinsic, "LEGENDRIAN_FRAME_TOL", 1e-6)
+    frame = extrinsic.adapted_frame(flowed_geo.jet)
+    assert frame.legendrian
+    return grid_ops.DerivedGeometry(surface=flowed_geo.surface, jet=flowed_geo.jet, frame=frame,
+                                    data=extrinsic.extrinsic_data(flowed_geo.jet, frame))
+
+
+@pytest.mark.parametrize("case", ["fd4", "spectral", "flowed"])
+def test_gradient_norm_decomposition_matches_its_einsum_form(case, geometry_cache, flowed_geo,
+                                                             monkeypatch):
+    """Written-out sums within 16 ulp of each field's max |value|.
+
+    The residuals cancel to far below their terms, so they are held to
+    16 ulp of max full_h2 (residual_h) or max full_H2 (residual_H).
+    """
+    if case == "flowed":
+        geo = _legendrian_flowed_geo(flowed_geo, monkeypatch)
+    else:
+        geo = geometry_cache("torus", 32, case, eps=0.02)
+    got = grid_ops.gradient_norm_decomposition(geo)
+    ref = _reference_gradient_norm_decomposition(geo)
+    scale = {key: np.max(np.abs(value)) for key, value in ref.items()}
+    scale["residual_h"], scale["residual_H"] = scale["full_h2"], scale["full_H2"]
+    for key, expected in ref.items():
+        err = np.max(np.abs(getattr(got, key) - expected))
+        assert err <= 16 * np.spacing(scale[key]), (key, err / np.spacing(scale[key]))
+
+
+@pytest.mark.parametrize("case", ["fd4", "spectral", "flowed"])
+def test_oneform_rough_laplacian_matches_its_einsum_form(case, geometry_cache, flowed_geo):
+    """Written out term by term, within 16 ulp of the Laplacian's max |value|."""
+    geo = flowed_geo if case == "flowed" else geometry_cache("torus", 32, case, eps=0.02)
+    uu, vv = grids.grid_nodes(geo.n)
+    theta = np.stack([np.cos(uu + vv), np.sin(uu - 2 * vv)], axis=-1)
+    expected = _reference_oneform_rough_laplacian(theta, geo)
+    err = np.max(np.abs(grid_ops.oneform_rough_laplacian(theta, geo) - expected))
+    assert err <= 16 * np.spacing(np.max(np.abs(expected)))
 
 
 def test_nyquist_mode_has_zero_first_and_exact_second_derivative():

@@ -77,6 +77,25 @@ def test_only_grids_uses_numpy_fft():
     assert users == ["grids.py"]
 
 
+def _uses_einsum(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "einsum":
+            return True
+        if isinstance(node, ast.ImportFrom) and any(a.name == "einsum" for a in node.names):
+            return True
+    return False
+
+
+def test_grid_ops_calls_no_einsum():
+    """Frame-index sums in grid_ops are written out over (N, N) slices.
+
+    A per-point einsum over 2- or 3-long frame indices is several times
+    slower than the same sum written out, and grid_ops runs on every
+    certified surface.
+    """
+    assert not _uses_einsum(ast.parse((SRC / "grid_ops.py").read_text()))
+
+
 def test_importing_the_package_builds_no_differentiation_matrix():
     """Matrices are built on first use, so a command's set-up pays for none."""
     code = ("import legendrian_lab.cli, sys; from legendrian_lab import grids; "
