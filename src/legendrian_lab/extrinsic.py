@@ -42,9 +42,10 @@ class AdaptedFrame:
     """Orthonormal tangent pair (E1, E2) and normal triple (N1, N2, N3).
 
     coeff maps orthonormal to coordinate tangents: E_a = coeff[..., a, i] d_i
-    with the Gram-Schmidt order fixed (du first).  legendrian is a single
-    flag for the whole batch so grid frames stay smooth, set from the pointwise
-    legendrian_residual max |alpha(d_i)|.  The normals are built on first read.
+    with the Gram-Schmidt order fixed (du first).  coeff must stay triangular,
+    coeff[..., 0, 1] == 0: DerivedGeometry.d_frame takes D_E1 from D_u alone.
+    legendrian is one flag for the whole batch so grid frames stay smooth, set
+    from the pointwise legendrian_residual max |alpha(d_i)|.  The normals are built on first read.
     """
 
     E1: np.ndarray

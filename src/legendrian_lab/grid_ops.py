@@ -44,14 +44,14 @@ class DerivedGeometry:
     data: extrinsic.ExtrinsicData
 
     @functools.cached_property
-    def gamma(self):
-        """Christoffel symbols (N, N, 2, 2, 2), gamma[k, i, j], built on first read.
+    def dg(self):
+        """dg[m, i, j] = D_m g_ij (N, N, 2, 2, 2), taken once, read by gamma and Brioschi."""
+        return np.stack([self.d(self.data.g, 0), self.d(self.data.g, 1)], axis=-3)
 
-        Only the connection Laplacians read them, so flow steps and
-        integral reports never differentiate the metric.
-        """
-        # dg[m, i, j] = D_m g_ij
-        dg = np.stack([self.d(self.data.g, 0), self.d(self.data.g, 1)], axis=-3)
+    @functools.cached_property
+    def gamma(self):
+        """Christoffel symbols (N, N, 2, 2, 2), gamma[k, i, j], built from dg on first read."""
+        dg = self.dg
         # gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
         t = dg + dg.transpose(0, 1, 3, 2, 4) - dg.transpose(0, 1, 3, 4, 2)
         ginv = self.data.ginv[..., None, None]  # summed over l in order, as 2x2 products
@@ -70,10 +70,10 @@ class DerivedGeometry:
         return grids.deriv(field, axis, self.scheme)
 
     def d_frame(self, field):
-        """Directional derivatives (D_E1, D_E2) of field from one pair of coordinate derivatives."""
+        """(D_E1, D_E2) of field from one (D_u, D_v) pair; coeff is triangular, E1 along d_u."""
         du, dv = self.d(field, 0), self.d(field, 1)
         c = self.frame.coeff.reshape(self.frame.coeff.shape + (1,) * (field.ndim - 2))
-        return tuple(c[:, :, k, 0] * du + c[:, :, k, 1] * dv for k in range(2))
+        return c[:, :, 0, 0] * du, c[:, :, 1, 0] * du + c[:, :, 1, 1] * dv
 
     def tangential_components(self, w):
         """Contravariant components w^a of the tangential part of w."""
@@ -117,16 +117,12 @@ def divergence(w_contra, geo: DerivedGeometry):
 
 
 def intrinsic_gauss_curvature(geo: DerivedGeometry):
-    """Gauss curvature from the metric alone (Brioschi formula)."""
-    g = geo.data.g
+    """Gauss curvature from the metric alone (Brioschi formula), first derivatives from geo.dg."""
+    g, dg, d = geo.data.g, geo.dg, geo.d
     E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    d = geo.d
-    Eu, Ev = d(E, 0), d(E, 1)
-    Fu, Fv = d(F, 0), d(F, 1)
-    Gu, Gv = d(G, 0), d(G, 1)
-    Evv = d(Ev, 1)
-    Guu = d(Gu, 0)
-    Fuv = d(Fu, 1)
+    Eu, Fu, Gu = dg[..., 0, 0, 0], dg[..., 0, 0, 1], dg[..., 0, 1, 1]
+    Ev, Fv, Gv = dg[..., 1, 0, 0], dg[..., 1, 0, 1], dg[..., 1, 1, 1]
+    Evv, Guu, Fuv = d(Ev, 1), d(Gu, 0), d(Fu, 1)
 
     def det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
         return (
@@ -370,8 +366,9 @@ class GradientNorms:
 
     full_h2 and full_H2 differentiate vector-valued tensors and project
     (frame-free); tangential_h2 and tangential_H2 are assembled from frame
-    components with tangential and normal connection coefficients.  The
-    two identities relate them pointwise on Legendrian surfaces:
+    components with the one connection table of _frame_connection, which
+    serves the tangent and the normal frame alike.  The two identities
+    relate them pointwise on Legendrian surfaces:
     full_h2 = tangential_h2 + S and full_H2 = tangential_H2 + H^2.
     """
 
@@ -410,21 +407,23 @@ def normal_gradient_H_squared(geo: DerivedGeometry):
     return out
 
 
-def _frame_connection(fields, geo: DerivedGeometry):
-    """c[k][a][b] = <D_k F_a, F_b> as nested lists of (N, N) fields.
+def _frame_connection(geo: DerivedGeometry):
+    """c[k][a][b] = <D_k E_a, F_b> for F = (E1, E2, p), as nested lists of (N, N) fields.
 
-    Each field's derivative pair is read and dropped before the next
-    field is differentiated.
+    A Legendrian frame's normals are J0 F, J0 constant and orthogonal, so
+    <D_k N_a, N_b> = <D_k E_a, F_b>: one table is the tangential (b < 2) and
+    the normal connection.  Each derivative pair is dropped before the next.
     """
-    rows = [[[dot(dfa, fb) for fb in fields] for dfa in geo.d_frame(fa)] for fa in fields]
-    return [[rows[a][k] for a in range(len(fields))] for k in range(2)]
+    f = geo.frame
+    rows = [[[dot(de, fb) for fb in (f.E1, f.E2, f.p)] for de in geo.d_frame(e)]
+            for e in f.tangents()]
+    return [[rows[a][k] for a in range(2)] for k in range(2)]
 
 
 def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     geo.check_legendrian(what="gradient_norm_decomposition")
     bhat = geo.data.Bhat
-    omega = _frame_connection(geo.frame.tangents(), geo)  # tangential, <D_k E_a, E_b>
-    sigma = _frame_connection(geo.frame.normals(), geo)   # normal, <D_k N_beta, N_gamma>
+    conn = _frame_connection(geo)  # tangential <D_k E_a, E_b>, normal <D_k N_a, N_b>
 
     # Bhat and h are symmetric in their two tangent indices, so each sum over
     # them takes the (0, 1) entry once and counts it twice
@@ -434,12 +433,12 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     full_h2 = np.zeros((geo.n, geo.n))
     for a, b, count in pairs:
         for k, dbab in enumerate(geo.d_frame(bhat[..., a, b, :])):
-            oa, ob = omega[k][a], omega[k][b]
+            ca, cb = conn[k][a], conn[k][b]
             w = (geo.frame.normal_part(dbab)
-                 - (oa[0][..., None] * bhat[..., 0, b, :]
-                    + oa[1][..., None] * bhat[..., 1, b, :])
-                 - (ob[0][..., None] * bhat[..., a, 0, :]
-                    + ob[1][..., None] * bhat[..., a, 1, :]))
+                 - (ca[0][..., None] * bhat[..., 0, b, :]
+                    + ca[1][..., None] * bhat[..., 1, b, :])
+                 - (cb[0][..., None] * bhat[..., a, 0, :]
+                    + cb[1][..., None] * bhat[..., a, 1, :]))
             full_h2 = full_h2 + count * dot(w, w)
 
     full_H2 = normal_gradient_H_squared(geo)
@@ -450,17 +449,17 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     tangential_h2 = np.zeros_like(full_h2)
     tangential_H2 = np.zeros_like(full_H2)
     for k, (dH, dh) in enumerate(zip(geo.d_frame(hcomp), geo.d_frame(h[..., :2, :, :]))):
-        o, s = omega[k], sigma[k]
+        c = conn[k]
         for b in range(2):
-            Hk = dH[..., b] - (s[b][0] * hcomp[..., 0] + s[b][1] * hcomp[..., 1]
-                               + s[b][2] * hcomp[..., 2])
+            Hk = dH[..., b] - (c[b][0] * hcomp[..., 0] + c[b][1] * hcomp[..., 1]
+                               + c[b][2] * hcomp[..., 2])
             tangential_H2 = tangential_H2 + Hk**2
             for i, j, count in pairs:
                 habk = (dh[..., b, i, j]
-                        - (s[b][0] * h[..., 0, i, j] + s[b][1] * h[..., 1, i, j]
-                           + s[b][2] * h[..., 2, i, j])
-                        - (o[i][0] * h[..., b, 0, j] + o[i][1] * h[..., b, 1, j])
-                        - (o[j][0] * h[..., b, i, 0] + o[j][1] * h[..., b, i, 1]))
+                        - (c[b][0] * h[..., 0, i, j] + c[b][1] * h[..., 1, i, j]
+                           + c[b][2] * h[..., 2, i, j])
+                        - (c[i][0] * h[..., b, 0, j] + c[i][1] * h[..., b, 1, j])
+                        - (c[j][0] * h[..., b, i, 0] + c[j][1] * h[..., b, i, 1]))
                 tangential_h2 = tangential_h2 + count * habk**2
 
     return GradientNorms(

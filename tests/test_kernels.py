@@ -6,9 +6,10 @@ not merely close values, and the shared connection-Laplacian loop must
 give the same bits as the two loops it merges.  The same holds for the
 scalar operators and the Hamiltonian basis matrices rewritten without
 changing their arithmetic.  The frame-free H, S = |Bhat|^2, the real
-FFT derivative, the real 2-D Fourier filter, and the frame-index sums of
+FFT derivative, the real 2-D Fourier filter, the frame-index sums of
 gradient_norm_decomposition and oneform_rough_laplacian written out term
-by term change the arithmetic on purpose; they are held to stated
+by term, and the Brioschi curvature read off the cached metric
+derivatives change the arithmetic on purpose; they are held to stated
 tolerances.
 """
 
@@ -17,7 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from legendrian_lab import contact, extrinsic, flow, grid_ops, grids, immersions
+from legendrian_lab import cli, contact, extrinsic, flow, grid_ops, grids, immersions
 from legendrian_lab.contact import dot, norm
 
 
@@ -51,6 +52,26 @@ def _reference_gamma(geo):
     dg = np.stack([grids.deriv(geo.data.g, 0, s), grids.deriv(geo.data.g, 1, s)], axis=-3)
     t = dg + dg.transpose(0, 1, 3, 2, 4) - dg.transpose(0, 1, 3, 4, 2)
     return 0.5 * np.einsum("...kl,...ijl->...kij", geo.data.ginv, t)
+
+
+def _reference_intrinsic_gauss_curvature(geo):
+    """The Brioschi formula with each of the six first derivatives taken per field."""
+    g = geo.data.g
+    E, F, G = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    d = geo.d
+    Eu, Ev = d(E, 0), d(E, 1)
+    Fu, Fv = d(F, 0), d(F, 1)
+    Gu, Gv = d(G, 0), d(G, 1)
+    Evv, Guu, Fuv = d(Ev, 1), d(Gu, 0), d(Fu, 1)
+
+    def det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
+        return (a11 * (a22 * a33 - a23 * a32) - a12 * (a21 * a33 - a23 * a31)
+                + a13 * (a21 * a32 - a22 * a31))
+
+    m1 = det3(-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev,
+              Fv - 0.5 * Gu, E, F, 0.5 * Gv, F, G)
+    m2 = det3(np.zeros_like(E), 0.5 * Ev, 0.5 * Gu, 0.5 * Ev, E, F, 0.5 * Gu, F, G)
+    return (m1 - m2) / (E * G - F**2) ** 2
 
 
 def _reference_generic_normals(p, e1, e2):
@@ -429,8 +450,8 @@ def test_real_fourier_filter_matches_the_complex_fft2_formula(n, multiplier):
     assert np.max(np.abs(grids.fourier_filter(f, mult) - expected)) <= 1e-15 * np.max(np.abs(f))
 
 
-def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkeypatch):
-    """One pair of coordinate derivatives per field gives both frame directions."""
+def _deriv_calls(monkeypatch, op):
+    """grids.deriv calls op makes on a fresh spectral N=32 perturbed torus (no cached reads)."""
     geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral",
                                                                seed=0, mode="generic"))
     assert geo.frame.legendrian
@@ -441,9 +462,51 @@ def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkey
         return deriv(*args, **kwargs)
 
     monkeypatch.setattr(grids, "deriv", counted)
-    grid_ops.gradient_norm_decomposition(geo)
-    # 2 tangents, 3 normals, the 3 distinct Bhat slices, H, H's components and h^1, h^2
-    assert len(calls) == 22
+    op(geo)
+    return len(calls)
+
+
+def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkeypatch):
+    """One pair of coordinate derivatives per field gives both frame directions.
+
+    The normals J0 E1, J0 E2, J0 p are not differentiated: the tangents'
+    connection table is the normal one.
+    """
+    # 2 tangents, the 3 distinct Bhat slices, H, H's components and h^1, h^2
+    assert _deriv_calls(monkeypatch, grid_ops.gradient_norm_decomposition) == 16
+
+
+def test_residual_pack_differentiates_the_metric_once(monkeypatch):
+    """The Brioschi curvature reads the metric derivatives that gamma took."""
+    assert _deriv_calls(monkeypatch, cli._residual_pack) == 53
+
+
+def test_d_frame_matches_the_full_coefficient_combination(geometry_cache):
+    """D_E1 from D_u alone gives the bits of c11 D_u + c12 D_v, as c12 is exactly 0."""
+    geo = geometry_cache("torus", 32, "fd4", eps=0.02)
+    c = geo.frame.coeff
+    assert np.all(c[..., 0, 1] == 0.0)
+    field = geo.data.Bhat[..., 0, 1, :]
+    du, dv = geo.d(field, 0), geo.d(field, 1)
+    for k, got in enumerate(geo.d_frame(field)):
+        assert np.array_equal(got, c[..., k, 0, None] * du + c[..., k, 1, None] * dv)
+
+
+@pytest.mark.parametrize("scheme", ["fd4", "spectral"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_intrinsic_gauss_curvature_matches_its_per_field_form(scheme, n):
+    """Within 4 eps N^2 of the per-field Brioschi formula (g and its derivatives are O(1)).
+
+    The batched first derivatives differ from the per-field ones by
+    roundoff of order eps N, and the second derivatives taken from them
+    amplify it by another factor of N.  Measured: 0 at N=32, at most
+    1.3e-13 (fd4) and 9.5e-13 (spectral) at N=128.
+    """
+    geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=n, scheme=scheme,
+                                                               seed=0, mode="generic"))
+    err = np.max(np.abs(grid_ops.intrinsic_gauss_curvature(geo)
+                        - _reference_intrinsic_gauss_curvature(geo)))
+    assert err <= 4 * np.finfo(float).eps * n**2
 
 
 def _legendrian_flowed_geo(flowed_geo, monkeypatch):

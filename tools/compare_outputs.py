@@ -39,9 +39,12 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # the integrals of a theta-shifted torus; the equatorial sphere, the one
 # catalog surface no other op runs; a flow with a non-default tau0 that
 # stops at max_steps; a verify whose 2N = 256 grid is above
-# grids._MATRIX_MAX_N, so it compares the direct derivative path too; and
+# grids._MATRIX_MAX_N, so it compares the direct derivative path too;
 # an fd2 N=8 verify that trips div_JH's JH tangency guard (exit 1, no
-# reports), so losing the guard is an exit-code difference
+# reports), so losing the guard is an exit-code difference; and the fd4
+# N=16 verify of the CLI tests, whose weitzenbock_order (3.61) sits
+# closest to the fd4 _MIN_ORDER gate of 3.5, so a change that moves the
+# fd4 orders shows there first
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -53,6 +56,7 @@ EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--tau0", "0.05", "--max-steps", "3")),
     ("verify", ("--epsilon", "0.02", "--grid", "128")),
     ("verify", ("--epsilon", "0.02", "--grid", "8", "--scheme", "fd2")),
+    ("verify", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
 )
 CHILD = """
 import sys
