@@ -72,9 +72,10 @@ class AdaptedFrame:
         return self._normals
 
     def normal_part(self, w):
-        """w off E1, E2, then off p (which also drops the radial part of FD jets)."""
+        """w off E1, E2, then off p (which also drops the radial part of FD jets), in one copy."""
+        w = np.array(w, dtype=float)
         for e in (self.E1, self.E2, self.p):
-            w = w - dot(w, e)[..., None] * e
+            w -= dot(w, e)[..., None] * e
         return w
 
     def orthonormality_residual(self, p):

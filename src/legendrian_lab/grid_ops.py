@@ -45,8 +45,11 @@ class DerivedGeometry:
 
     @functools.cached_property
     def dg(self):
-        """dg[m, i, j] = D_m g_ij (N, N, 2, 2, 2), taken once, read by gamma and Brioschi."""
-        return np.stack([self.d(self.data.g, 0), self.d(self.data.g, 1)], axis=-3)
+        """dg[m, i, j] = D_m g_ij (N, N, 2, 2, 2) of g_00, g_01, g_11 once; D_m g_10 = D_m g_01."""
+        g = self.data.g
+        g3 = np.stack([g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]], -1)  # contiguous: same GEMM bits
+        d = np.stack([self.d(g3, 0), self.d(g3, 1)], -2)
+        return d[..., [0, 1, 1, 2]].reshape(d.shape[:-1] + (2, 2))
 
     @functools.cached_property
     def gamma(self):
@@ -57,6 +60,13 @@ class DerivedGeometry:
         ginv = self.data.ginv[..., None, None]  # summed over l in order, as 2x2 products
         return 0.5 * (ginv[..., 0, :, :] * t[..., None, :, :, 0]
                       + ginv[..., 1, :, :] * t[..., None, :, :, 1])
+
+    @functools.cached_property
+    def gamma_trace(self):
+        """Contracted Christoffel symbols Gamma^k = g^{ij} Gamma^k_ij (N, N, 2)."""
+        gi, gam = self.data.ginv[..., None], self.gamma
+        return (gi[..., 0, 0, :] * gam[..., 0, 0] + 2.0 * gi[..., 0, 1, :] * gam[..., 0, 1]
+                + gi[..., 1, 1, :] * gam[..., 1, 1])
 
     @property
     def n(self):
@@ -152,36 +162,26 @@ def check_normal_field(v, geo: DerivedGeometry, what="field"):
 
 
 def covariant_derivative_normal(v, geo: DerivedGeometry):
-    """nabla^nu_i V for i = u, v: sphere connection then normal projection."""
-    p = geo.jet.value
-    tangents = (geo.jet.du, geo.jet.dv)
-    return [geo.frame.normal_part(contact.sphere_connection(p, v, geo.d(v, i), tangents[i]))
-            for i in range(2)]
+    """nabla^nu_i V = P(D_i V), i = u, v: the normal projection P removes the p-term <x_i, V> p."""
+    return [geo.frame.normal_part(geo.d(v, i)) for i in range(2)]
 
 
 def _connection_laplacian(first, geo: DerivedGeometry, project):
-    """g^{ij} (nabla_i nabla_j V - Gamma^k_ij nabla_k V) from first = [nabla_u V, nabla_v V].
+    """P(g^{ij} D_i first_j) - Gamma^k first_k = g^{ij} (nabla_i nabla_j V - Gamma^k_ij nabla_k V).
 
-    first holds the already-projected first derivatives; project maps a
-    sphere-connection derivative into the bundle whose connection is meant.
+    first = [nabla_u V, nabla_v V] lies in the bundle P = project maps onto.  P is linear and
+    removes p, so g^{ij} P(D_i first_j + <x_i, first_j> p) is one projection of the sum.
     """
-    p = geo.jet.value
-    tangents = (geo.jet.du, geo.jet.dv)
-    out = np.zeros_like(first[0])
-    for i in range(2):
-        for j in range(2):
-            second = project(contact.sphere_connection(p, first[j], geo.d(first[j], i),
-                                                       tangents[i]))
-            corr = sum(geo.gamma[..., k, i, j, None] * first[k] for k in range(2))
-            out = out + geo.data.ginv[..., i, j, None] * (second - corr)
+    ginv, gam = geo.data.ginv[..., None], geo.gamma_trace
+    mixed = geo.d(first[0], 1) + geo.d(first[1], 0)  # g^{01} = g^{10}: both orders at once
+    out = project(ginv[..., 0, 0, :] * geo.d(first[0], 0) + ginv[..., 0, 1, :] * mixed
+                  + ginv[..., 1, 1, :] * geo.d(first[1], 1))
+    out -= gam[..., 0, None] * first[0] + gam[..., 1, None] * first[1]
     return out
 
 
 def normal_laplacian(v, geo: DerivedGeometry):
-    """Connection Laplacian on the normal bundle, negative spectrum.
-
-    Delta^nu V = g^{ij} (nabla^nu_i nabla^nu_j V - Gamma^k_ij nabla^nu_k V).
-    """
+    """Normal-bundle Laplacian P(g^{ij} D_i nabla_j V) - Gamma^k nabla_k V, negative spectrum."""
     v = np.asarray(v, dtype=float)
     check_normal_field(v, geo, what="normal_laplacian input")
     return _connection_laplacian(covariant_derivative_normal(v, geo), geo, geo.frame.normal_part)
@@ -228,17 +228,14 @@ def oneform_covariant_derivative(theta, geo: DerivedGeometry):
 def oneform_rough_laplacian(theta, geo: DerivedGeometry):
     """Trace of the second covariant derivative; negative spectrum."""
     nth = oneform_covariant_derivative(theta, geo)
-    gam, ginv = geo.gamma, geo.data.ginv
-    out = np.zeros_like(theta)
+    gam, ginv, trace = geo.gamma, geo.data.ginv, geo.gamma_trace
+    out = -(trace[..., 0, None] * nth[..., 0, :] + trace[..., 1, None] * nth[..., 1, :])
     for i in range(2):
         dn = geo.d(nth, i)
         for k in range(2):
-            # (nabla^2 theta)_{ikj} = d_i nth_{kj} - Gamma^l_{ik} nth_{lj} - Gamma^l_{ij} nth_{kl}
-            second = (dn[..., k, :]
-                      - (gam[..., 0, i, k, None] * nth[..., 0, :]
-                         + gam[..., 1, i, k, None] * nth[..., 1, :])
-                      - (gam[..., 0, i, :] * nth[..., k, 0, None]
-                         + gam[..., 1, i, :] * nth[..., k, 1, None]))
+            # d_i nth_{kj} - Gamma^l_{ij} nth_{kl}; out starts at -g^{ik} Gamma^l_{ik} nth_{lj}
+            second = dn[..., k, :] - (gam[..., 0, i, :] * nth[..., k, 0, None]
+                                      + gam[..., 1, i, :] * nth[..., k, 1, None])
             out = out + ginv[..., i, k, None] * second
     return out
 
@@ -429,17 +426,19 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     # them takes the (0, 1) entry once and counts it twice
     pairs = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0))
 
-    # frame-free full covariant derivative of B (vector route)
+    # frame-free full covariant derivative of B (vector route); for a = b its two sums are one
     full_h2 = np.zeros((geo.n, geo.n))
     for a, b, count in pairs:
         for k, dbab in enumerate(geo.d_frame(bhat[..., a, b, :])):
             ca, cb = conn[k][a], conn[k][b]
-            w = (geo.frame.normal_part(dbab)
-                 - (ca[0][..., None] * bhat[..., 0, b, :]
-                    + ca[1][..., None] * bhat[..., 1, b, :])
-                 - (cb[0][..., None] * bhat[..., a, 0, :]
-                    + cb[1][..., None] * bhat[..., a, 1, :]))
+            w = geo.frame.normal_part(dbab)
+            s = ca[0][..., None] * bhat[..., 0, b, :] + ca[1][..., None] * bhat[..., 1, b, :]
+            w -= s
+            if a != b:
+                s = cb[0][..., None] * bhat[..., a, 0, :] + cb[1][..., None] * bhat[..., a, 1, :]
+            w -= s
             full_h2 = full_h2 + count * dot(w, w)
+        del w, s  # freed before the next slice's derivative pair
 
     full_H2 = normal_gradient_H_squared(geo)
 

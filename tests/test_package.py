@@ -96,6 +96,16 @@ def test_grid_ops_calls_no_einsum():
     assert not _uses_einsum(ast.parse((SRC / "grid_ops.py").read_text()))
 
 
+def test_grid_ops_calls_no_sphere_connection():
+    """Every normal-bundle derivative in grid_ops is projected, which removes the p-term.
+
+    The sphere connection D V + <x, V> p differs from D V by a multiple
+    of p only, so forming it before the normal projection is wasted work.
+    """
+    assert "sphere_connection" not in _names_read({"grid_ops.py": ast.parse(
+        (SRC / "grid_ops.py").read_text())})
+
+
 def test_importing_the_package_builds_no_differentiation_matrix():
     """Matrices are built on first use, so a command's set-up pays for none."""
     code = ("import legendrian_lab.cli, sys; from legendrian_lab import grids; "
