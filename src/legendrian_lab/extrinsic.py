@@ -10,15 +10,16 @@ The second fundamental form uses the round-sphere correction
 B_ij = (d^2 L_ij + g_ij p) minus its tangential part, which removes the
 radial component exactly.  adapted_frame decides once whether the
 surface is Legendrian: its flag, max |alpha(d_i)| <= LEGENDRIAN_FRAME_TOL
-over the batch, picks the normal frame (J E1, J E2, R), or else a generic
-orthonormal normal frame grown deterministically from the coordinate
-axes, and it is the one predicate every Legendrian-only operator reads.
-Everything broadcasts over leading batch axes.
+over the batch, is the one predicate every Legendrian-only operator
+reads.  Only a Legendrian frame has a normal frame, the paper's
+(J E1, J E2, R), and with it the components h^c_ab = <B_ab, N_c>;
+S, H^2, rho^2 and K are frame-free.  Everything broadcasts over leading
+batch axes.
 
 The metric, the Legendrian residual and H are built eagerly, as a flow
-step reads nothing else; the normal frame, B, S, rho^2 and K on first
-read.  H goes through no normal frame: it is the normal part of
-(1/2) (c^T c)_ij d_ij x, the trace of B in the frame's own contraction.
+step reads nothing else; B, h, S, rho^2 and K on first read.  H goes
+through no normal frame: it is the normal part of (1/2) (c^T c)_ij d_ij x,
+the trace of B in the frame's own contraction.
 """
 
 from __future__ import annotations
@@ -34,18 +35,18 @@ from .immersions import Jet2, first_fundamental_form
 
 LEGENDRIAN_FRAME_TOL = 1e-8
 GRAM_DET_TOL = 1e-12
-_SEED_NORM_TOL = 0.3
 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal tangent pair (E1, E2) and normal triple (N1, N2, N3).
+    """Orthonormal tangent pair (E1, E2); on a Legendrian frame also (J E1, J E2, R).
 
     coeff maps orthonormal to coordinate tangents: E_a = coeff[..., a, i] d_i
     with the Gram-Schmidt order fixed (du first).  coeff must stay triangular,
     coeff[..., 0, 1] == 0: DerivedGeometry.d_frame takes D_E1 from D_u alone.
     legendrian is one flag for the whole batch so grid frames stay smooth, set
-    from the pointwise legendrian_residual max |alpha(d_i)|.  The normals are built on first read.
+    from the pointwise legendrian_residual max |alpha(d_i)|.  normal_part
+    needs no normal frame; normals() refuses a non-Legendrian frame.
     """
 
     E1: np.ndarray
@@ -55,21 +56,15 @@ class AdaptedFrame:
     p: np.ndarray
     legendrian_residual: np.ndarray
 
-    @cached_property
-    def _normals(self):
-        if self.legendrian:
-            return j_apply(self.E1), j_apply(self.E2), j_apply(self.p)
-        return tuple(_generic_normals(self.p, self.E1, self.E2))
-
-    N1 = property(lambda self: self._normals[0])
-    N2 = property(lambda self: self._normals[1])
-    N3 = property(lambda self: self._normals[2])
-
     def tangents(self):
         return (self.E1, self.E2)
 
     def normals(self):
-        return self._normals
+        """(J E1, J E2, R), the normal frame of a Legendrian surface."""
+        if not self.legendrian:
+            raise ValueError("the normal frame (J E1, J E2, R) requires a Legendrian frame: "
+                             f"max |alpha(d_i)| = {np.max(self.legendrian_residual):.3e}")
+        return j_apply(self.E1), j_apply(self.E2), j_apply(self.p)
 
     def normal_part(self, w):
         """w off E1, E2, then off p (which also drops the radial part of FD jets), in one copy."""
@@ -79,7 +74,8 @@ class AdaptedFrame:
         return w
 
     def orthonormality_residual(self, p):
-        vecs = [self.E1, self.E2, self.N1, self.N2, self.N3]
+        """Max |<a, b> - delta_ab| and |<a, p>| over E1, E2 and any normal frame."""
+        vecs = [self.E1, self.E2, *(self.normals() if self.legendrian else ())]
         worst = 0.0
         for i, a in enumerate(vecs):
             worst = max(worst, float(np.max(np.abs(dot(a, p)))))
@@ -96,40 +92,12 @@ def legendrian_residual(jet: Jet2):
     return au, av
 
 
-def _generic_normals(p, e1, e2):
-    """Deterministic orthonormal normal frame from coordinate-axis seeds."""
-    batch = p.shape[:-1]
-    seeds = []
-    for axis in range(6):
-        w = np.zeros(p.shape)
-        w[..., axis] = 1.0
-        for b in (p, e1, e2):
-            w = w - dot(w, b)[..., None] * b
-        seeds.append(w)  # projected off p, E1, E2 once, then off each new normal
-    normals = []
-    taken = np.zeros(batch + (6,), dtype=bool)  # which seed axis each point consumed
-    for _ in range(3):
-        if normals:
-            seeds = [w - dot(w, normals[-1])[..., None] * normals[-1] for w in seeds]
-        cand = np.zeros(p.shape)
-        have = np.zeros(batch, dtype=bool)
-        for axis, w in enumerate(seeds):
-            ok = (~have) & (~taken[..., axis]) & (norm(w) >= _SEED_NORM_TOL)
-            cand = np.where(ok[..., None], w, cand)
-            taken[..., axis] |= ok
-            have |= ok
-        if not np.all(have):
-            raise ValueError("could not complete a generic normal frame from axis seeds")
-        normals.append(contact.normalize(cand))
-    return normals
-
-
 def adapted_frame(jet: Jet2) -> AdaptedFrame:
-    """Gram-Schmidt tangent frame plus the matching normal frame.
+    """Gram-Schmidt tangent frame and the batch's Legendrian flag.
 
     legendrian is set when the whole batch has max |alpha(d_i)| <=
     LEGENDRIAN_FRAME_TOL (read at call time; a NaN residual fails it);
-    it selects the normal frame (J E1, J E2, R) and gates every
+    it gives the frame its normals (J E1, J E2, R) and gates every
     Legendrian-only operator.  Batches are not mixed.
     """
     p = jet.value
@@ -190,7 +158,8 @@ class ExtrinsicData:
                                          for i in range(2) for j in range(2))
         return Bhat
 
-    h = cached_property(lambda self: np.stack(  # (..., 3, 2, 2) <Bhat_ab, N_k>
+    # (..., 3, 2, 2) <Bhat_ab, N_k>; raises through normals() off a Legendrian frame
+    h = cached_property(lambda self: np.stack(
         [dot(self.Bhat, n[..., None, None, :]) for n in self.frame.normals()], axis=-3))
     Hcomp = cached_property(lambda self: 0.5 * (self.h[..., 0, 0] + self.h[..., 1, 1]))
     S = cached_property(lambda self: np.einsum("...abk,...abk->...", self.Bhat, self.Bhat))
@@ -231,39 +200,31 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
 class IdentityResiduals:
     """Pointwise structure-equation residuals (maxima over the batch)."""
 
-    h3_max: float
+    h3_max: float | None      # None for non-Legendrian frames, which have no h
     sym3_max: float | None    # None for non-Legendrian frames
-    symij_max: float
     gauss_identity_max: float
-    det_sum: np.ndarray       # det h^1 + det h^2, per point
+    det_sum: np.ndarray | None  # det h^1 + det h^2, per point; None likewise
 
 
 def pointwise_identity_residuals(data: ExtrinsicData) -> IdentityResiduals:
-    """Reeb-component, index-symmetry and Gauss-identity residuals.
+    """Gauss-identity residual; on a Legendrian frame also Reeb-component and symmetry.
 
-    The full 3-index symmetry h^c_ab = h^a_cb = h^b_ac is a Legendrian
-    property and is only evaluated when the frame is Legendrian; the plain
-    (a, b) symmetry holds for any frame.  det h^1 + det h^2 is the normal
+    On a Legendrian frame h^3 = 0 and h^c_ab = h^a_cb = h^b_ac, whose
+    (a, b) swap is the symmetry of B.  det h^1 + det h^2 is the normal
     curvature pairing consumed by the integrated Simons identity.
     """
+    gauss = float(np.max(np.abs(2.0 * data.K - 2.0 - 4.0 * data.H2 + data.S)))
+    if not data.frame.legendrian:
+        return IdentityResiduals(None, None, gauss, None)
     h = data.h
     h3_max = float(np.max(np.abs(h[..., 2, :, :])))
-    symij = float(np.max(np.abs(h - np.swapaxes(h, -1, -2))))
-    sym3 = None
-    if data.frame.legendrian:
-        t = np.stack(
-            [h[..., 0, :, :], h[..., 1, :, :]], axis=-3
-        )  # t[c, a, b] = h^c_ab for c in {1, 2}
-        worst = 0.0
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            axes = tuple(-3 + perm.index(k) for k in range(3))
-            tp = np.moveaxis(t, (-3, -2, -1), axes)
-            worst = max(worst, float(np.max(np.abs(tp - t))))
-        sym3 = worst
-    gauss = float(np.max(np.abs(2.0 * data.K - 2.0 - 4.0 * data.H2 + data.S)))
+    t = h[..., :2, :, :]  # t[c, a, b] = h^c_ab for c in {1, 2}
+    sym3 = 0.0
+    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        axes = tuple(-3 + perm.index(k) for k in range(3))
+        tp = np.moveaxis(t, (-3, -2, -1), axes)
+        sym3 = max(sym3, float(np.max(np.abs(tp - t))))
     det1 = h[..., 0, 0, 0] * h[..., 0, 1, 1] - h[..., 0, 0, 1] ** 2
     det2 = h[..., 1, 0, 0] * h[..., 1, 1, 1] - h[..., 1, 0, 1] ** 2
-    return IdentityResiduals(
-        h3_max=h3_max, sym3_max=sym3, symij_max=symij,
-        gauss_identity_max=gauss, det_sum=det1 + det2,
-    )
+    return IdentityResiduals(h3_max=h3_max, sym3_max=sym3, gauss_identity_max=gauss,
+                             det_sum=det1 + det2)

@@ -296,7 +296,8 @@ def ker_alpha_normal_field(geo: DerivedGeometry, c1, c2):
     scheme accuracy on perturbed grids).
     """
     r = j_apply(geo.jet.value)
-    v = np.asarray(c1)[..., None] * geo.frame.N1 + np.asarray(c2)[..., None] * geo.frame.N2
+    v = (np.asarray(c1)[..., None] * j_apply(geo.frame.E1)
+         + np.asarray(c2)[..., None] * j_apply(geo.frame.E2))
     for _ in range(3):
         v = geo.frame.normal_part(v)
         v = v - contact.contact_form(geo.jet.value, v, check=False)[..., None] * r

@@ -150,7 +150,7 @@ def deriv(f, axis, scheme, order=1):
         raise ValueError(f"unsupported derivative axis {axis!r}; expected 0 (u) or 1 (v)")
     if order not in (1, 2):
         raise ValueError(f"unsupported derivative order {order!r}; expected 1 or 2")
-    f = np.asarray(f, dtype=float)
+    f = np.ascontiguousarray(f, dtype=float)  # the product's bits must not depend on layout
     if f.shape[axis] <= _MATRIX_MAX_N:
         return _matrix_deriv(f, axis, scheme, order)
     return _direct_deriv(f, axis, scheme, order)

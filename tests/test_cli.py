@@ -30,6 +30,16 @@ def test_verify_clifford_records_non_legendrian(tmp_path):
     assert rep["alpha_u_dev"] <= 1e-12
 
 
+@pytest.mark.parametrize("surface", ["clifford-s3", "veronese-s4"])
+def test_non_legendrian_verify_checks_the_tangent_frame_alone(surface, tmp_path):
+    """With no normal frame to check, frame_orthonormality reads E1 and E2."""
+    out = tmp_path / "v"
+    assert run_cli(["verify", "--surface", surface, "--out", str(out)]) == 0
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["legendrian"] is False
+    assert rep["frame_orthonormality"] <= 1e-12
+
+
 def test_verify_equatorial_and_veronese(tmp_path):
     for surface in ("equatorial-legendrian-sphere", "veronese-s4"):
         out = tmp_path / surface

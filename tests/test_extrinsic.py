@@ -21,7 +21,7 @@ def test_frame_flags_and_orthonormality():
     jet, frame, _ = _point_data("legendrian_torus")
     assert frame.legendrian
     assert frame.orthonormality_residual(jet.value) < 1e-12
-    assert np.max(contact.norm(frame.N3 - contact.reeb(jet.value))) < 1e-12
+    assert np.max(contact.norm(frame.normals()[2] - contact.reeb(jet.value))) < 1e-12
     jet, frame, _ = _point_data("clifford_s3")
     assert not frame.legendrian
     assert frame.orthonormality_residual(jet.value) < 1e-12
@@ -78,10 +78,25 @@ def test_identity_residuals_equatorial_sphere():
 
 
 def test_identity_residuals_clifford_generic_frame():
+    """Off a Legendrian frame only the frame-free Gauss identity is evaluated."""
     _, _, data = _point_data("clifford_s3")
     ident = extrinsic.pointwise_identity_residuals(data)
-    assert ident.sym3_max is None  # 3-symmetry not asserted off the Legendrian frame
-    assert ident.symij_max < 1e-12
+    assert ident.h3_max is None and ident.sym3_max is None and ident.det_sum is None
+    assert ident.gauss_identity_max <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["clifford_s3", "veronese_s4"])
+def test_non_legendrian_frames_have_no_normal_frame(name):
+    """(J E1, J E2, R) is the only normal frame; off a Legendrian frame it is refused."""
+    _, frame, data = _point_data(name)
+    assert not frame.legendrian
+    with pytest.raises(ValueError, match="requires a Legendrian frame"):
+        frame.normals()
+    with pytest.raises(ValueError, match="requires a Legendrian frame"):
+        data.h
+    ident = extrinsic.pointwise_identity_residuals(data)
+    assert (ident.h3_max, ident.sym3_max, ident.det_sum) == (None, None, None)
+    assert ident.gauss_identity_max <= 1e-10
 
 
 def test_invariants_frame_independent():

@@ -355,29 +355,6 @@ def test_derived_geometry_differentiates_the_metric_only_when_gamma_is_read(
     assert len(calls) == 2 * jets + 2
 
 
-def test_fd4_flow_steps_never_build_the_generic_normal_frame(monkeypatch):
-    calls, inside = [], []
-    normals, step = extrinsic._generic_normals, flow.flow_step
-
-    def counted_normals(*args):
-        calls.append(bool(inside))
-        return normals(*args)
-
-    def counted_step(state):
-        inside.append(True)
-        try:
-            return step(state)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(extrinsic, "_generic_normals", counted_normals)
-    monkeypatch.setattr(flow, "flow_step", counted_step)
-    start = immersions.perturbed_torus(eps=0.02, n=32, scheme="fd4", seed=0, mode="stable")
-    rep = flow.run_flow(start).report
-    assert rep["steps"] > 0
-    assert not any(calls) and len(calls) <= 1
-
-
 def test_spectral_32_flow_differentiates_each_accepted_surface_once(monkeypatch):
     """A trial differentiates the scalar h and its angle; only the final surface takes jets.
 

@@ -21,14 +21,18 @@ def laplace_beltrami(f, geo):
 
 
 def willmore_residual(geo):
-    """Delta^nu H + Q(A°)H, the paper's Willmore equation, in flat indices."""
-    h = geo.data.h
-    Hc = geo.data.Hcomp
-    htilde = h - Hc[..., :, None, None] * np.eye(2)
-    q = np.einsum("...aij,...bij->...ab", htilde, htilde)
-    qh = np.einsum("...ab,...b->...a", q, Hc)
-    qvec = sum(qh[..., b, None] * n for b, n in enumerate(geo.frame.normals()))
-    return grid_ops.normal_laplacian(geo.data.Hvec, geo) + qvec
+    """Delta^nu H + Q(A°)H, the paper's Willmore equation, in flat indices and frame-free.
+
+    Q(A°)H = sum_ij <A°_ij, H> A°_ij with A° = Bhat - delta H, so no normal
+    frame is read and the oracle holds on non-Legendrian surfaces too.
+    """
+    bhat, hvec = geo.data.Bhat, geo.data.Hvec
+    qvec = np.zeros_like(hvec)
+    for i in range(2):
+        for j in range(2):
+            a = bhat[..., i, j, :] - (hvec if i == j else 0.0)
+            qvec = qvec + contact.dot(a, hvec)[..., None] * a
+    return grid_ops.normal_laplacian(hvec, geo) + qvec
 
 
 def _fit(cache, op, scheme="fd4", mode="generic", eps=0.02, seed=0):

@@ -40,7 +40,7 @@ def test_check_legendrian_rejects_nan(geometry_cache, monkeypatch):
 
 def test_check_normal_field_rejects_nan(geometry_cache):
     geo = geometry_cache("torus", 16, "spectral")
-    v = _with_one_nan(geo.frame.N1)
+    v = _with_one_nan(geo.frame.normals()[0])
     with pytest.raises(ValueError, match="not a normal field"):
         grid_ops.check_normal_field(v, geo)
 
@@ -56,7 +56,7 @@ def test_omega_commutation_ker_alpha_check_rejects_nan(geometry_cache, monkeypat
     geo = geometry_cache("torus", 16, "spectral")
     # the normal-field check runs first and would catch the NaN itself
     monkeypatch.setattr(grid_ops, "check_normal_field", lambda *args, **kwargs: None)
-    v = _with_one_nan(geo.frame.N1)
+    v = _with_one_nan(geo.frame.normals()[0])
     with pytest.raises(ValueError, match="ker\\(alpha\\)"):
         grid_ops.omega_commutation_residual(v, geo)
 

@@ -34,8 +34,8 @@ HERE = Path(__file__).resolve().parent.parent
 OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # ops outside the workloads: the fd2 flow; the fd4 N=16 flow, which stops
 # under-resolved; a flow from a large perturbation, under-resolved at
-# N = 32, where the flow's potential and div_JH differ most; generic
-# (non-Legendrian) frames on the integrals and non-torus verify paths;
+# N = 32, where the flow's potential and div_JH differ most; two
+# non-Legendrian-frame ops, on the integrals and non-torus verify paths;
 # the integrals of a theta-shifted torus; the equatorial sphere, the one
 # catalog surface no other op runs; a flow with a non-default tau0 that
 # stops at max_steps; a verify whose 2N = 256 grid is above

@@ -3,7 +3,7 @@
 For each op of the benchmark workloads (perfbench/workloads.py, read
 only), a child interpreter per tree imports the library from
 <tree>/src, wraps `grids.deriv`, `extrinsic.AdaptedFrame.normal_part`
-and `contact.sphere_connection` with counters, and runs the op once
+and `extrinsic.AdaptedFrame.normals` with counters, and runs the op once
 through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set to
 1.  One line per op gives each count as `first -> second`; the counts
 are deterministic, so a single run per tree is enough.  Exits 0, or 2
@@ -26,11 +26,11 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "contact.sphere_connection")
+COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals")
 CHILD = """
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
-from legendrian_lab import cli, contact, extrinsic, grids
+from legendrian_lab import cli, extrinsic, grids
 
 counts = {}
 
@@ -44,7 +44,7 @@ def counted(owner, name, label):
 
 counted(grids, "deriv", "grids.deriv")
 counted(extrinsic.AdaptedFrame, "normal_part", "AdaptedFrame.normal_part")
-counted(contact, "sphere_connection", "contact.sphere_connection")
+counted(extrinsic.AdaptedFrame, "normals", "AdaptedFrame.normals")
 rows = []
 for argv in json.loads(sys.argv[2]):
     counts.update(dict.fromkeys(counts, 0))
