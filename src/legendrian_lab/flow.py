@@ -37,10 +37,11 @@ the raw field:
   whose angle stays on its branch, and that has a smaller area.
 
 The 2/3 cut adds fixed points: surfaces whose raw div JH lies in the cut
-band.  run_flow stops as "under-resolved" when the band part exceeds the
-target while the passband part meets it, or while a stalled line search
-leaves the band holding most of div JH (a stall on a larger passband
-part is the step size's, not the grid's).
+band.  The descent field and the band part come from one transform of
+each accepted potential.  run_flow stops as "under-resolved" when the
+band part exceeds the target while the passband part meets it, or while
+a stalled line search leaves the band holding most of div JH (a stall on
+a larger passband part is the step size's, not the grid's).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ DIV_JH_FLOOR = 1e-10  # absolute stationarity target of run_flow
 
 def _quadrature(f, surface: GridSurface):
     """Integral of a grid scalar against the surface's area measure, as grid_ops.quadrature."""
-    return float(np.sum(f * np.sqrt(surface.metric[3])) * grids.cell_area(surface.n))
+    return float(np.sum(f * surface.sqrt_det) * grids.cell_area(surface.n))
 
 
 def area_of_positions(surface: GridSurface):
@@ -99,10 +100,11 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
     return geometric, divergence, fd
 
 
+@functools.lru_cache(maxsize=8)
 def _aliased_band(n):
-    """Fourier modes cut by the 2/3 rule (J. Atmos. Sci. 28, 1971): |k_u| or |k_v| >= n/3."""
+    """Modes cut by the 2/3 rule (J. Atmos. Sci. 28, 1971), |k_u| or |k_v| >= n/3; read-only."""
     cut = np.abs(grids.frequencies(n)) >= n / 3
-    return cut[:, None] | cut[None, :]
+    return grids.read_only(cut[:, None] | cut[None, :])
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,14 +122,13 @@ def torus_jacobi_multiplier(n):
     mult = 1.0 / (1.0 + SMOOTHING * np.maximum(q, 0.0))
     mult[(lam > 0.0) & (lam < 6.0)] = 0.0
     mult[_aliased_band(n)] = 0.0
-    mult.setflags(write=False)
-    return mult
+    return grids.read_only(mult)
 
 
 def descent_potential(raw):
-    """Smoothed, saddle-filtered and dealiased copy of the raw potential div(J0 H)."""
-    raw = np.asarray(raw, dtype=float)
-    return grids.fourier_filter(raw, torus_jacobi_multiplier(raw.shape[0]))
+    """(f, band) of the raw potential by one transform: descent field and 2/3-rule cut band."""
+    n = len(raw)
+    return grids.fourier_filter(raw, torus_jacobi_multiplier(n), _aliased_band(n))
 
 
 def raw_potential(graph: LegendrianGraph):
@@ -136,8 +137,8 @@ def raw_potential(graph: LegendrianGraph):
     Delta_g beta = (1/sqrt g) d_i (sqrt g g^{ij} d_j beta): four scalar
     derivatives.  A ValueError from the angle means it left its branch.
     """
-    E, F, G, det = graph.metric
-    sg = np.sqrt(det)
+    E, F, G, _ = graph.metric
+    sg = graph.sqrt_det
     beta = graph.lagrangian_angle
 
     def d(field, axis):
@@ -147,23 +148,23 @@ def raw_potential(graph: LegendrianGraph):
     return -0.5 * (d((G * bu - F * bv) / sg, 0) + d((E * bv - F * bu) / sg, 1)) / sg
 
 
-def _band_split(div, surface: GridSurface):
-    """L2 norms of div's 2/3-rule passband and cut-band parts, as div_JH_l2 is taken."""
-    band = grids.fourier_filter(div, _aliased_band(surface.n))
+def _band_split(div, band, surface: GridSurface):
+    """L2 norms of div's 2/3-rule passband and cut-band (band) parts, as div_JH_l2 is taken."""
     return tuple(float(np.sqrt(_quadrature(part**2, surface))) for part in (div - band, band))
 
 
 @dataclass
 class FlowState:
-    """Flow iterate: the current graph and its raw potential div_JH = raw_potential(surface).
+    """Flow iterate: the current graph, div_JH = raw_potential(surface), (f, band) of div_JH.
 
-    Both are set once per accepted surface and read again by the next
-    flow_step and by run_flow; the metric is the surface's own, cached.
-    Every field describes the last accepted surface.
+    Every field describes the last accepted surface, set on acceptance; f and band come from
+    one transform of div_JH (descent_potential).  The metric is the surface's own, cached.
     """
 
     surface: LegendrianGraph
     div_JH: np.ndarray
+    f: np.ndarray
+    band: np.ndarray
     step_index: int = 0
     tau: float = DEFAULT_TAU0
     tau0: float = DEFAULT_TAU0
@@ -196,7 +197,7 @@ def start_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0) -> FlowState:
     if not isinstance(surface, LegendrianGraph):
         raise ValueError(f"the flow runs on a LegendrianGraph, got {type(surface).__name__}")
     div = raw_potential(surface)
-    state = FlowState(surface=surface, div_JH=div, tau=tau0, tau0=tau0)
+    state = FlowState(surface, div, *descent_potential(div), tau=tau0, tau0=tau0)
     state.residual_history.append(_residuals(surface, div))
     state.area_history.append(_quadrature(1.0, surface))
     return state
@@ -212,8 +213,7 @@ def flow_step(state: FlowState) -> FlowState:
     descent direction, leaves the surface, its potential and the histories
     untouched.
     """
-    f = descent_potential(state.div_JH)
-    surface = state.surface
+    f, surface = state.f, state.surface
     fu, fv = (grids.deriv(f, axis, surface.scheme) for axis in (0, 1))
     E, F, G, det = surface.metric
     grad2 = (G * fu**2 - 2.0 * F * fu * fv + E * fv**2) / det
@@ -244,6 +244,7 @@ def flow_step(state: FlowState) -> FlowState:
 
     residuals = _residuals(accepted, div)
     state.surface, state.div_JH = accepted, div
+    state.f, state.band = descent_potential(div)
     state.step_index += 1
     state.tau = min(tau * 1.5, state.tau0)
     state.area_history.append(trial_area)
@@ -296,7 +297,7 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
     target = max(tol * initial_div, DIV_JH_FLOOR)
     stop_reason = None
     while stop_reason is None:
-        passband, band = _band_split(state.div_JH, state.surface)
+        passband, band = _band_split(state.div_JH, state.band, state.surface)
         if state.residual_history[-1][0] <= target:
             stop_reason = "converged"
         elif band > target and (passband <= target or (state.stalled and band >= passband)):

@@ -48,6 +48,12 @@ def check_scheme(scheme):
 _MATRIX_MAX_N = 128
 
 
+def read_only(array):
+    """The array, its write flag cleared: every cached table is returned this way."""
+    array.setflags(write=False)
+    return array
+
+
 def _shift(f, s, axis):
     """f shifted so output[i] = f[i+s] (periodic)."""
     return np.roll(f, -s, axis=axis)
@@ -59,9 +65,7 @@ def _fourier_multiplier(n, order):
     k = np.fft.rfftfreq(n, d=1.0 / n)
     if order % 2 == 1:
         k[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
-    mult = (1j * k) ** order
-    mult.setflags(write=False)
-    return mult
+    return read_only((1j * k) ** order)
 
 
 def _spectral_deriv(f, axis, order):
@@ -126,9 +130,7 @@ def _diff_matrix(n, scheme, order):
     if order == 1:
         col = 0.5 * (col - np.roll(col[::-1], 1))  # np.roll(col[::-1], 1)[m] = col[-m]
     index = np.arange(n)
-    mat = col[(index[:, None] - index) % n]
-    mat.setflags(write=False)
-    return mat
+    return read_only(col[(index[:, None] - index) % n])
 
 
 def _matrix_deriv(f, axis, scheme, order):
@@ -161,15 +163,21 @@ def frequencies(n):
     return np.fft.fftfreq(n, d=1.0 / n)
 
 
-def fourier_filter(f, mult):
-    """Real part of ifft2(fft2(f) * mult) for an (n, n) multiplier even in k, by rfft2/irfft2."""
-    return np.fft.irfft2(np.fft.rfft2(f) * mult[:, : f.shape[1] // 2 + 1], s=f.shape)
+def fourier_filter(f, *mults):
+    """Real part of ifft2(fft2(f) * m) per (n, n) multiplier m even in k, by rfft2/irfft2.
+
+    One rfft2 serves every m, each field with the bits of a call on m alone;
+    the multipliers, cached read-only tables in the flow, are only read.
+    """
+    spectrum = np.fft.rfft2(f)
+    return tuple(np.fft.irfft2(spectrum * m[:, : f.shape[1] // 2 + 1], s=f.shape) for m in mults)
 
 
+@functools.lru_cache(maxsize=8)
 def grid_nodes(n):
-    """Node coordinates (U, V), each (n, n), u-major."""
+    """Node coordinates (U, V), each (n, n), u-major, read-only (cached)."""
     t = LENGTH * np.arange(n) / n
-    return np.meshgrid(t, t, indexing="ij")
+    return tuple(read_only(node) for node in np.meshgrid(t, t, indexing="ij"))
 
 
 def cell_area(n):

@@ -244,6 +244,11 @@ class GridSurface:
         """(E, F, G, det g) of the cached first derivatives, built on first read."""
         return first_fundamental_form(*self.first_derivatives)
 
+    @functools.cached_property
+    def sqrt_det(self):
+        """sqrt(det g), the area density of the cached metric, taken on first read."""
+        return np.sqrt(self.metric[3])
+
     def jets(self) -> Jet2:
         p = self.positions
         s = self.scheme
@@ -259,6 +264,12 @@ class GridSurface:
 
     def with_positions(self, positions):
         return GridSurface(positions=positions, scheme=self.scheme)
+
+
+@functools.lru_cache(maxsize=8)
+def _node_phase(n):
+    """e^{iu} at the grid nodes as an (n, 1) column, read-only (cached); e^{iv} is its transpose."""
+    return grids.read_only(np.exp(1j * grids.grid_nodes(n)[0][:, :1]))
 
 
 class LegendrianGraph(GridSurface):
@@ -286,10 +297,10 @@ class LegendrianGraph(GridSurface):
         if not low > 0.0:
             raise ValueError(f"h is not a Legendrian graph: min(1 - h_u, 1 - h_v) = {low:.3e}")
         rho3 = 1.0 / (3.0 - hu - hv)
-        uu, vv = grids.grid_nodes(h.shape[0])
+        (uu, vv), eiu = grids.grid_nodes(h.shape[0]), _node_phase(h.shape[0])
         z = np.empty(h.shape + (3,), dtype=complex)
-        z[..., 0] = np.sqrt((1.0 - hu) * rho3) * np.exp(1j * uu[:, :1])
-        z[..., 1] = np.sqrt((1.0 - hv) * rho3) * np.exp(1j * vv[:1, :])
+        z[..., 0] = np.sqrt((1.0 - hu) * rho3) * eiu
+        z[..., 1] = np.sqrt((1.0 - hv) * rho3) * eiu.T
         z[..., 2] = np.sqrt(rho3) * np.exp(1j * (h - uu - vv))
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
@@ -327,7 +338,7 @@ class LegendrianGraph(GridSurface):
         ANGLE_BRANCH_LIMIT a ValueError is raised, since the principal
         argument could then jump by 2 pi between neighbouring nodes.
         """
-        (a1, a2, a3), (b1, b2, b3) = (np.moveaxis(m, -1, 0) for m in self._multipliers)
+        (a1, a2, a3), (b1, b2, b3) = ([m[..., k] for k in range(3)] for m in self._multipliers)
         offset = np.angle((a1 * b3 - a3 * b1) - (a2 * b3 - a3 * b2) - (a1 * b2 - a2 * b1))
         worst = float(np.max(np.abs(offset)))
         if not worst <= ANGLE_BRANCH_LIMIT:

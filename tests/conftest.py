@@ -58,7 +58,7 @@ def flowed_geo():
     """
     start = grid_ops.derived_geometry(immersions.perturbed_torus(
         eps=0.02, n=16, scheme="spectral", seed=0, mode="generic"))
-    f = flow.descent_potential(grid_ops.div_JH(start))
+    f, _ = flow.descent_potential(grid_ops.div_JH(start))
     v = immersions.variation_field_on_positions(start.surface, f,
                                                 (start.d(f, 0), start.d(f, 1)))
     tau = 1e-3 / np.max(contact.norm(v))

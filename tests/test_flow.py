@@ -110,9 +110,11 @@ def test_second_variation_spectrum_of_flat_torus(geometry_cache):
 def test_descent_potential_is_positive_multiplier():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((32, 32))
-    smoothed = flow.descent_potential(f)
+    smoothed, band = flow.descent_potential(f)
     # SPD-psd multiplier: nonnegative pairing with the input
     assert float(np.sum(f * smoothed)) > 0
+    # the band part is f's cut-band content, which the descent field does not carry
+    assert np.array_equal(band, grids.fourier_filter(f, flow._aliased_band(32))[0])
     mult = flow.torus_jacobi_multiplier(32)
     assert np.all(mult >= 0.0)
     assert mult[0, 0] == 1.0
@@ -122,6 +124,7 @@ def test_descent_potential_is_positive_multiplier():
     # 2/3-rule dealiasing: |k_u| or |k_v| >= 32/3 is cut
     assert mult[10, 10] > 0.0 and mult[10, -10] > 0.0
     assert mult[11, 0] == 0.0 and mult[0, -11] == 0.0 and mult[16, 16] == 0.0
+    assert not np.any(mult[flow._aliased_band(32)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The explicit 2x2 sums for Bhat, h and the Christoffel symbols must give
 the same bits as the general contractions, not merely close values.  The
 same holds for the scalar operators and the Hamiltonian basis matrices
-rewritten without changing their arithmetic, and for a derivative of a
-strided field against that of its contiguous copy.  The frame-free H,
+rewritten without changing their arithmetic, for a derivative of a
+strided field against that of its contiguous copy, and for one real 2-D
+filter by several multipliers against one filter per multiplier.  The frame-free H,
 S = |Bhat|^2, the real FFT derivative, the real 2-D Fourier filter, the
 frame-index sums of gradient_norm_decomposition and
 oneform_rough_laplacian written out term by term, the Brioschi curvature
@@ -316,10 +317,13 @@ def test_connection_laplacians_match_their_double_loops(case, geometry_cache, fl
 
 
 def test_cached_fourier_multipliers_are_read_only():
-    mult = flow.torus_jacobi_multiplier(16)
-    assert mult is flow.torus_jacobi_multiplier(16)
-    with pytest.raises(ValueError):
-        mult[0, 0] = 2.0
+    """The per-N tables of the flow and the grids are built once and cannot be written."""
+    for table in (flow.torus_jacobi_multiplier, flow._aliased_band, immersions._node_phase,
+                  lambda n: grids.grid_nodes(n)[0], lambda n: grids.grid_nodes(n)[1]):
+        mult = table(16)
+        assert mult is table(16)
+        with pytest.raises(ValueError):
+            mult[0, 0] = 2.0
     with pytest.raises(ValueError):
         grids._fourier_multiplier(16, 1)[0] = 1.0
     for scheme in grids.SCHEMES:
@@ -443,14 +447,12 @@ def test_real_fourier_filter_matches_the_complex_fft2_formula(n, multiplier):
     assert np.array_equal(mult, np.roll(mult[::-1, ::-1], 1, axis=(0, 1)))  # mult(-k) = mult(k)
     f = np.random.default_rng(n).standard_normal((n, n))
     expected = np.fft.ifft2(np.fft.fft2(f) * mult).real
-    assert np.max(np.abs(grids.fourier_filter(f, mult) - expected)) <= 1e-15 * np.max(np.abs(f))
+    (filtered,) = grids.fourier_filter(f, mult)
+    assert np.max(np.abs(filtered - expected)) <= 1e-15 * np.max(np.abs(f))
 
 
-def _calls(monkeypatch, op, owner=grids, name="deriv"):
-    """owner.name calls op makes on a fresh spectral N=32 perturbed torus (no cached reads)."""
-    geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral",
-                                                               seed=0, mode="generic"))
-    assert geo.frame.legendrian
+def _counter(monkeypatch, owner, name):
+    """A list that grows by one per call of owner.name from here on."""
     wrapped, calls = getattr(owner, name), []
 
     def counted(*args, **kwargs):
@@ -458,8 +460,44 @@ def _calls(monkeypatch, op, owner=grids, name="deriv"):
         return wrapped(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _calls(monkeypatch, op, owner=grids, name="deriv"):
+    """owner.name calls op makes on a fresh spectral N=32 perturbed torus (no cached reads)."""
+    geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral",
+                                                               seed=0, mode="generic"))
+    assert geo.frame.legendrian
+    calls = _counter(monkeypatch, owner, name)
     op(geo)
     return len(calls)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_one_transform_filters_by_several_multipliers_with_the_bits_of_one_each(n):
+    f = np.random.default_rng(n).standard_normal((n, n))
+    mults = flow.torus_jacobi_multiplier(n), flow._aliased_band(n)
+    both = grids.fourier_filter(f, *mults)
+    assert len(both) == 2
+    for field, mult in zip(both, mults):
+        assert np.array_equal(field, grids.fourier_filter(f, mult)[0])
+
+
+def test_spectral_flow_transforms_each_accepted_potential_once(monkeypatch):
+    """One rfft2 and two irfft2 (descent field, band part) per accepted surface, start included.
+
+    The seed-0 spectral N=32 start converges in 80 steps, so 81 surfaces;
+    the band split once took a transform of its own (161 + 161).  The
+    derivatives are counted from the start's build on, as a flow op makes them.
+    """
+    transforms = [name for name in np.fft.__all__ if name.endswith(("fft", "fft2", "fftn"))]
+    ffts = {name: _counter(monkeypatch, np.fft, name) for name in transforms}
+    derivs = _counter(monkeypatch, grids, "deriv")
+    result = flow.run_flow(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral", seed=0))
+    assert result.converged and result.state.step_index == 80
+    counts = {name: len(calls) for name, calls in ffts.items() if calls}
+    assert counts == {"rfft2": 81, "irfft2": 162}
+    assert len(derivs) == 918
 
 
 def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkeypatch):

@@ -2,10 +2,11 @@
 
 For each op of the benchmark workloads (perfbench/workloads.py, read
 only), a child interpreter per tree imports the library from
-<tree>/src, wraps `grids.deriv`, `extrinsic.AdaptedFrame.normal_part`
-and `extrinsic.AdaptedFrame.normals` with counters, and runs the op once
-through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set to
-1.  One line per op gives each count as `first -> second`; the counts
+<tree>/src, wraps `grids.deriv`, `extrinsic.AdaptedFrame.normal_part`,
+`extrinsic.AdaptedFrame.normals` and every transform of `numpy.fft`
+(one `numpy.fft` counter for all of them) with counters, and runs the op
+once through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set
+to 1.  One line per op gives each count as `first -> second`; the counts
 are deterministic, so a single run per tree is enough.  Exits 0, or 2
 on a usage error.
 
@@ -26,9 +27,10 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
-COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals")
+COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals", "numpy.fft")
 CHILD = """
 import json, sys, tempfile
+import numpy.fft
 sys.path.insert(0, sys.argv[1])
 from legendrian_lab import cli, extrinsic, grids
 
@@ -36,7 +38,7 @@ counts = {}
 
 def counted(owner, name, label):
     wrapped = getattr(owner, name)
-    counts[label] = 0
+    counts.setdefault(label, 0)
     def call(*args, **kwargs):
         counts[label] += 1
         return wrapped(*args, **kwargs)
@@ -45,6 +47,9 @@ def counted(owner, name, label):
 counted(grids, "deriv", "grids.deriv")
 counted(extrinsic.AdaptedFrame, "normal_part", "AdaptedFrame.normal_part")
 counted(extrinsic.AdaptedFrame, "normals", "AdaptedFrame.normals")
+for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+             "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+    counted(numpy.fft, name, "numpy.fft")
 rows = []
 for argv in json.loads(sys.argv[2]):
     counts.update(dict.fromkeys(counts, 0))
