@@ -45,8 +45,9 @@ class AdaptedFrame:
     with the Gram-Schmidt order fixed (du first).  coeff must stay triangular,
     coeff[..., 0, 1] == 0: DerivedGeometry.d_frame takes D_E1 from D_u alone.
     legendrian is one flag for the whole batch so grid frames stay smooth, set
-    from the pointwise legendrian_residual max |alpha(d_i)|.  normal_part
-    needs no normal frame; normals() refuses a non-Legendrian frame.
+    from the pointwise max |alpha(d_i)| of legendrian_residual(), which the
+    flow reads too.  normal_part needs no normal frame; normals() refuses a
+    non-Legendrian frame.
     """
 
     E1: np.ndarray
@@ -55,9 +56,6 @@ class AdaptedFrame:
     legendrian: bool
     p: np.ndarray
     legendrian_residual: np.ndarray
-
-    def tangents(self):
-        return (self.E1, self.E2)
 
     def normals(self):
         """(J E1, J E2, R), the normal frame of a Legendrian surface."""
@@ -85,11 +83,9 @@ class AdaptedFrame:
         return worst
 
 
-def legendrian_residual(jet: Jet2):
-    """(alpha(du), alpha(dv)) at the point(s)."""
-    au = contact.contact_form(jet.value, jet.du, check=False)
-    av = contact.contact_form(jet.value, jet.dv, check=False)
-    return au, av
+def legendrian_residual(p, du, dv):
+    """(alpha(du), alpha(dv)) at p: the one Legendrian residual of the frame, flow and CLI."""
+    return tuple(contact.contact_form(p, x, check=False) for x in (du, dv))
 
 
 def adapted_frame(jet: Jet2) -> AdaptedFrame:
@@ -106,10 +102,7 @@ def adapted_frame(jet: Jet2) -> AdaptedFrame:
     xu = jet.du - dot(jet.du, p)[..., None] * p
     xv = jet.dv - dot(jet.dv, p)[..., None] * p
     g11, g12, g22, gram = first_fundamental_form(xu, xv)
-    if not np.min(gram) >= GRAM_DET_TOL:
-        raise ValueError(
-            f"degenerate or non-finite induced metric: Gram determinant {np.min(gram):.3e}"
-        )
+    check_induced_metric(gram)
 
     n1 = np.sqrt(g11)
     e1 = xu / n1[..., None]
@@ -125,7 +118,7 @@ def adapted_frame(jet: Jet2) -> AdaptedFrame:
     coeff[..., 1, 0] = c21
     coeff[..., 1, 1] = c22
 
-    au, av = legendrian_residual(jet)
+    au, av = legendrian_residual(p, jet.du, jet.dv)
     res = np.maximum(np.abs(au), np.abs(av))
     return AdaptedFrame(E1=e1, E2=e2, coeff=coeff, p=p, legendrian_residual=res,
                         legendrian=bool(np.max(res) <= LEGENDRIAN_FRAME_TOL))

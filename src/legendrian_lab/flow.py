@@ -67,14 +67,9 @@ STEP_CAP = 2e-3  # largest node displacement of one step
 DIV_JH_FLOOR = 1e-10  # absolute stationarity target of run_flow
 
 
-def _quadrature(f, surface: GridSurface):
-    """Integral of a grid scalar against the surface's area measure, as grid_ops.quadrature."""
-    return float(np.sum(f * surface.sqrt_det) * grids.cell_area(surface.n))
-
-
 def area_of_positions(surface: GridSurface):
-    """Area of a grid surface from its (cached) metric alone."""
-    return _quadrature(1.0, surface)
+    """Area of a grid surface from its (cached) metric alone: one line-search trial."""
+    return grids.quadrature(1.0, surface.sqrt_det)
 
 
 def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
@@ -94,7 +89,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
 
     geometric = -2.0 * grid_ops.quadrature(dot(geo.data.Hvec, v), geo)
     divergence = -grid_ops.quadrature(f * grid_ops.div_JH(geo), geo)
-    plus, minus = (geo.surface.with_positions(contact.normalize(geo.jet.value + s * v))
+    plus, minus = (GridSurface(contact.normalize(geo.jet.value + s * v), geo.scheme)
                    for s in (eps, -eps))
     fd = (area_of_positions(plus) - area_of_positions(minus)) / (2 * eps)
     return geometric, divergence, fd
@@ -150,14 +145,15 @@ def raw_potential(graph: LegendrianGraph):
 
 def _band_split(div, band, surface: GridSurface):
     """L2 norms of div's 2/3-rule passband and cut-band (band) parts, as div_JH_l2 is taken."""
-    return tuple(float(np.sqrt(_quadrature(part**2, surface))) for part in (div - band, band))
+    return tuple(float(np.sqrt(grids.quadrature(part**2, surface.sqrt_det)))
+                 for part in (div - band, band))
 
 
 @dataclass
 class FlowState:
     """Flow iterate: the current graph, div_JH = raw_potential(surface), (f, band) of div_JH.
 
-    Every field describes the last accepted surface, set on acceptance; f and band come from
+    Every field describes the last accepted surface, set by _accept; f and band come from
     one transform of div_JH (descent_potential).  The metric is the surface's own, cached.
     """
 
@@ -180,26 +176,32 @@ class FlowState:
 
 
 def _residuals(surface: LegendrianGraph, div):
-    """(||div||_2, max |alpha(x_i)|, frame) of an accepted surface; det g is checked first.
+    """(||div||_2, max |alpha(x_i)|, frame) of a surface; det g is checked first.
 
-    The residual reads the cached first derivatives, as the frame's does,
-    and the frame column is the flag adapted_frame would set from it.
+    max |alpha(x_i)| is adapted_frame's, extrinsic.legendrian_residual of the
+    cached first derivatives, and frame is the flag adapted_frame sets from it.
     """
     extrinsic.check_induced_metric(surface.metric[3])
-    au, av = (contact.contact_form(surface.positions, x, check=False)
-              for x in surface.first_derivatives)
+    au, av = extrinsic.legendrian_residual(surface.positions, *surface.first_derivatives)
     leg = float(np.max(np.maximum(np.abs(au), np.abs(av))))
     frame = "legendrian" if leg <= extrinsic.LEGENDRIAN_FRAME_TOL else "generic"
-    return float(np.sqrt(_quadrature(div**2, surface))), leg, frame
+    return float(np.sqrt(grids.quadrature(div**2, surface.sqrt_det))), leg, frame
+
+
+def _accept(state: FlowState, surface: LegendrianGraph, div, area):
+    """Make surface, of raw potential div, the iterate; a failed det g check changes nothing."""
+    residuals = _residuals(surface, div)
+    state.surface, state.div_JH = surface, div
+    state.f, state.band = descent_potential(div)
+    state.area_history.append(area)
+    state.residual_history.append(residuals)
 
 
 def start_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0) -> FlowState:
     if not isinstance(surface, LegendrianGraph):
         raise ValueError(f"the flow runs on a LegendrianGraph, got {type(surface).__name__}")
-    div = raw_potential(surface)
-    state = FlowState(surface, div, *descent_potential(div), tau=tau0, tau0=tau0)
-    state.residual_history.append(_residuals(surface, div))
-    state.area_history.append(_quadrature(1.0, surface))
+    state = FlowState(None, None, None, None, tau=tau0, tau0=tau0)
+    _accept(state, surface, raw_potential(surface), grids.quadrature(1.0, surface.sqrt_det))
     return state
 
 
@@ -242,13 +244,9 @@ def flow_step(state: FlowState) -> FlowState:
         state.stalled = True
         return state
 
-    residuals = _residuals(accepted, div)
-    state.surface, state.div_JH = accepted, div
-    state.f, state.band = descent_potential(div)
+    _accept(state, accepted, div, trial_area)
     state.step_index += 1
     state.tau = min(tau * 1.5, state.tau0)
-    state.area_history.append(trial_area)
-    state.residual_history.append(residuals)
     state.tau_history.append(tau)
     state.halvings_history.append(halvings)
     return state
@@ -327,5 +325,5 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
     rep.set("max_legendrian_residual", max(r[1] for r in state.residual_history))
     rep.set("final_S_max_dev", float(np.max(np.abs(geo.data.S - 2.0))))
     for key in ("W", "I1", "I2", "E", "Sigma_Simons"):
-        rep.set("final_" + key, integrals.get(key))
+        rep.set("final_" + key, integrals[key])
     return FlowResult(state=state, converged=converged, report=rep, geometry=geo)

@@ -85,11 +85,6 @@ class DerivedGeometry:
         c = self.frame.coeff.reshape(self.frame.coeff.shape + (1,) * (field.ndim - 2))
         return c[:, :, 0, 0] * du, c[:, :, 1, 0] * du + c[:, :, 1, 1] * dv
 
-    def tangential_components(self, w):
-        """Contravariant components w^a of the tangential part of w."""
-        cov = np.stack([dot(w, self.jet.du), dot(w, self.jet.dv)], axis=-1)
-        return _matvec(self.data.ginv, cov)
-
     def check_legendrian(self, what="operation"):
         """Raise unless the frame is Legendrian, the one predicate of adapted_frame."""
         if not self.frame.legendrian:
@@ -112,12 +107,8 @@ def derived_geometry(surface: GridSurface) -> DerivedGeometry:
 
 
 def quadrature(f, geo: DerivedGeometry):
-    """Integral of a grid scalar against the area measure (trapezoid rule)."""
-    return float(np.sum(np.asarray(f) * geo.data.sqrt_det_g) * grids.cell_area(geo.n))
-
-
-def surface_area(geo: DerivedGeometry):
-    return quadrature(np.ones((geo.n, geo.n)), geo)
+    """Integral of a grid scalar against the area measure, by grids.quadrature."""
+    return grids.quadrature(f, geo.data.sqrt_det_g)
 
 
 def divergence(w_contra, geo: DerivedGeometry):
@@ -196,10 +187,8 @@ def div_JH(geo: DerivedGeometry):
     """
     geo.check_legendrian(what="div_JH")
     w = j_apply(geo.data.Hvec)
-    contra = geo.tangential_components(w)
-    tangential = (
-        contra[..., 0, None] * geo.jet.du + contra[..., 1, None] * geo.jet.dv
-    )
+    contra = _matvec(geo.data.ginv, np.stack([dot(w, geo.jet.du), dot(w, geo.jet.dv)], axis=-1))
+    tangential = contra[..., 0, None] * geo.jet.du + contra[..., 1, None] * geo.jet.dv
     err = float(np.max(contact.norm(w - tangential)))
     if not err <= JH_TANGENCY_ABORT:
         raise ValueError(f"JH tangency error {err:.3e} exceeds {JH_TANGENCY_ABORT:.1e}")
@@ -414,7 +403,7 @@ def _frame_connection(geo: DerivedGeometry):
     """
     f = geo.frame
     rows = [[[dot(de, fb) for fb in (f.E1, f.E2, f.p)] for de in geo.d_frame(e)]
-            for e in f.tangents()]
+            for e in (f.E1, f.E2)]
     return [[rows[a][k] for a in range(2)] for k in range(2)]
 
 
@@ -486,7 +475,7 @@ def integral_report(geo: DerivedGeometry) -> Report:
     """
     d = geo.data
     rep = Report()
-    rep.set("area", surface_area(geo))
+    rep.set("area", quadrature(1.0, geo))
     rep.set("W", quadrature(d.rho2, geo))
     rep.set("I1", quadrature(1.5 * d.rho2 * (2.0 - d.S) + 2.0 * d.H2 * d.rho2 + 2.0 * d.H2, geo))
     rep.set("I2", quadrature((d.rho2 + 0.5 * d.S) * (2.0 - d.S), geo))

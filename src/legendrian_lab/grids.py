@@ -180,6 +180,7 @@ def grid_nodes(n):
     return tuple(read_only(node) for node in np.meshgrid(t, t, indexing="ij"))
 
 
-def cell_area(n):
-    return (LENGTH / n) ** 2
+def quadrature(f, sqrt_det):
+    """Integral of a grid scalar f against the area density sqrt_det (trapezoid rule)."""
+    return float(np.sum(f * sqrt_det) * (LENGTH / len(sqrt_det)) ** 2)
 

@@ -262,9 +262,6 @@ class GridSurface:
             dvv=grids.deriv(p, 1, s, order=2),
         )
 
-    def with_positions(self, positions):
-        return GridSurface(positions=positions, scheme=self.scheme)
-
 
 @functools.lru_cache(maxsize=8)
 def _node_phase(n):

@@ -32,9 +32,6 @@ class Report:
             self._items[key] = float(value)
         return self
 
-    def get(self, key):
-        return self._items.get(key)
-
     def __getitem__(self, key):
         return self._items[key]
 

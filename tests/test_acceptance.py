@@ -53,7 +53,7 @@ def test_criterion_1_catalog_pointwise_values():
         assert np.max(np.sqrt(ver.H2)) <= 1e-9
         jet, _, cli_data = _sample(immersions.catalog("clifford_s3"), 1000, 13)
         assert np.max(np.abs(cli_data.S - 2.0)) <= 1e-9
-        au, _ = extrinsic.legendrian_residual(jet)
+        au, _ = extrinsic.legendrian_residual(jet.value, jet.du, jet.dv)
         assert np.max(np.abs(au - 0.5)) <= 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"pointwise suite took {elapsed:.2f} s"

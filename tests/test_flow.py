@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -53,7 +54,8 @@ def test_variation_drift_quadratic_in_step(geometry_cache):
     for tau in taus:
         moved = contact.normalize(geo.jet.value + tau * v)
         jet = immersions.GridSurface(positions=moved, scheme="spectral").jets()
-        drifts.append(max(float(np.max(np.abs(a))) for a in extrinsic.legendrian_residual(jet)))
+        drifts.append(max(float(np.max(np.abs(a)))
+                          for a in extrinsic.legendrian_residual(jet.value, jet.du, jet.dv)))
     slope = np.polyfit(np.log(taus), np.log(drifts), 1)[0]
     assert slope > 1.9
 
@@ -95,8 +97,10 @@ def test_second_variation_spectrum_of_flat_torus(geometry_cache):
     for (m, n) in ((1, 0), (1, -1), (2, 0), (2, -1), (3, 0)):
         f = np.cos(m * uu + n * vv)
         v = _variation_field(geo, eps * f)
-        ap = flow.area_of_positions(geo.surface.with_positions(contact.normalize(base + v)))
-        am = flow.area_of_positions(geo.surface.with_positions(contact.normalize(base - v)))
+        ap = flow.area_of_positions(
+            immersions.GridSurface(contact.normalize(base + v), geo.scheme))
+        am = flow.area_of_positions(
+            immersions.GridSurface(contact.normalize(base - v), geo.scheme))
         measured = (ap + am - 2 * A_TORUS) / eps**2
         lam = 2.0 * (m * m - m * n + n * n)
         expected = lam * (lam - 6.0) / 4.0 * (A_TORUS / 2.0)
@@ -194,7 +198,7 @@ def test_run_flow_builds_one_geometry_of_the_final_surface(monkeypatch):
     fresh = build(graph)
     integrals = grid_ops.integral_report(fresh)
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
-        assert rep["final_" + key] == integrals.get(key)
+        assert rep["final_" + key] == integrals[key]
     assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
     assert np.array_equal(state.div_JH, flow.raw_potential(graph))
     dev = float(np.max(np.abs(state.div_JH - grid_ops.div_JH(fresh))))
@@ -405,7 +409,7 @@ def _assert_reports_last_accepted_surface(result, tmp_path):
                                                                  state.surface.scheme))
     integrals = grid_ops.integral_report(fresh)
     for key in ("area", "W", "I1", "I2", "E", "Sigma_Simons"):
-        assert rep["final_" + key] == integrals.get(key)
+        assert rep["final_" + key] == integrals[key]
     assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
 
 
@@ -478,6 +482,26 @@ def test_accepted_surface_with_a_degenerate_metric_raises(monkeypatch):
         flow.start_flow(surface)
 
 
+@pytest.mark.parametrize("case", ["fd4", "spectral", "flowed"])
+def test_flow_residuals_and_area_are_those_of_the_frame_and_the_report(case, flowed_geo):
+    """Bit for bit: the flow's max |alpha(x_i)| and frame flag are adapted_frame's, its area
+    integral_report's, on stable graphs and on a generic-frame surface."""
+    surface = flowed_geo.surface if case == "flowed" else immersions.perturbed_torus(
+        eps=0.02, n=32, scheme=case, seed=0, mode="stable")
+    _, leg, frame = flow._residuals(surface, np.zeros((surface.n, surface.n)))
+    adapted = extrinsic.adapted_frame(surface.jets())
+    assert leg == float(np.max(adapted.legendrian_residual))
+    assert frame == ("legendrian" if adapted.legendrian else "generic")
+    assert (frame == "generic") == (case == "flowed")
+    area = grid_ops.integral_report(grid_ops.derived_geometry(surface))["area"]
+    assert flow.area_of_positions(surface) == area
+
+
+def test_start_flow_sets_every_state_field():
+    state = flow.start_flow(_stable_start(n=16))
+    assert [f.name for f in dataclasses.fields(state) if getattr(state, f.name) is None] == []
+
+
 def _band_l2s(state):
     """L2 norms of the raw div JH inside and outside the 2/3-rule passband."""
     n = state.surface.n
@@ -485,7 +509,7 @@ def _band_l2s(state):
     cut = (k[:, None] >= n / 3) | (k[None, :] >= n / 3)
     band = np.fft.ifft2(np.fft.fft2(state.div_JH) * cut).real
     *_, det = immersions.first_fundamental_form(*state.surface.first_derivatives)
-    return [np.sqrt(np.sum(part**2 * np.sqrt(det)) * grids.cell_area(n))
+    return [np.sqrt(np.sum(part**2 * np.sqrt(det)) * (2 * np.pi / n) ** 2)
             for part in (state.div_JH - band, band)]
 
 

@@ -70,10 +70,10 @@ def test_christoffel_symmetry_on_perturbed(geometry_cache):
 
 
 def test_quadrature_areas(geometry_cache):
-    assert grid_ops.surface_area(geometry_cache("torus", 32, "spectral")) == pytest.approx(
+    assert grid_ops.quadrature(1.0, geometry_cache("torus", 32, "spectral")) == pytest.approx(
         A_TORUS, abs=1e-10
     )
-    assert grid_ops.surface_area(geometry_cache("clifford", 32, "spectral")) == pytest.approx(
+    assert grid_ops.quadrature(1.0, geometry_cache("clifford", 32, "spectral")) == pytest.approx(
         A_CLIFFORD, abs=1e-10
     )
 

@@ -258,7 +258,7 @@ def test_stable_mode_perturbation_increases_area():
     geo = grid_ops.derived_geometry(
         immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral", seed=0, mode="stable")
     )
-    assert grid_ops.surface_area(geo) > A_TORUS + 1e-4
+    assert grid_ops.quadrature(1.0, geo) > A_TORUS + 1e-4
 
 
 def test_euler_perturbation_along_stable_mode_increases_area():
@@ -270,14 +270,16 @@ def test_euler_perturbation_along_stable_mode_increases_area():
     f = 0.02 * np.cos(2 * uu)
     df = (grids.deriv(f, 0, "spectral"), grids.deriv(f, 1, "spectral"))
     v = immersions.variation_field_on_positions(g, f, df)
-    geo = grid_ops.derived_geometry(g.with_positions(contact.normalize(g.positions + v)))
-    assert grid_ops.surface_area(geo) > A_TORUS + 1e-6
+    geo = grid_ops.derived_geometry(
+        immersions.GridSurface(contact.normalize(g.positions + v), g.scheme))
+    assert grid_ops.quadrature(1.0, geo) > A_TORUS + 1e-6
 
 
 def test_ambient_perturbation_exactly_legendrian():
     for mode in ("stable", "generic"):
         g = immersions.perturbed_torus(eps=0.02, n=16, scheme="spectral", seed=1, mode=mode)
-        residual = extrinsic.legendrian_residual(g.jets())
+        jet = g.jets()
+        residual = extrinsic.legendrian_residual(jet.value, jet.du, jet.dv)
         assert max(float(np.max(np.abs(a))) for a in residual) < 1e-10
 
 
@@ -398,7 +400,7 @@ def test_spectral_graph_jets_match_differentiated_positions():
 def test_graph_is_legendrian_to_rounding_in_every_scheme(scheme):
     jet = immersions.perturbed_torus(eps=0.02, n=32, scheme=scheme, seed=0).jets()
     reeb = contact.j_apply(jet.value)
-    for tangent in extrinsic.legendrian_residual(jet):
+    for tangent in extrinsic.legendrian_residual(jet.value, jet.du, jet.dv):
         assert np.max(np.abs(tangent)) <= 1e-14
     for second in (jet.duu, jet.duv, jet.dvv):
         assert np.max(np.abs(contact.dot(second, reeb))) <= 1e-14
@@ -421,7 +423,8 @@ def test_stable_graph_has_the_area_of_the_moved_torus_nodes(seed, theta):
     m = immersions.random_contact_hamiltonian(0.02, seed=seed, mode="stable")
     base = immersions.resample_to_grid(immersions.catalog("legendrian_torus", theta=theta), 64,
                                        "spectral")
-    moved = base.with_positions(contact.normalize(base.positions @ immersions.expm(J0 @ m).T))
+    moved = immersions.GridSurface(contact.normalize(base.positions @ immersions.expm(J0 @ m).T),
+                                   base.scheme)
     graph = immersions.perturbed_torus(theta=theta, eps=0.02, n=64, scheme="spectral", seed=seed)
-    areas = [grid_ops.surface_area(grid_ops.derived_geometry(s)) for s in (graph, moved)]
+    areas = [grid_ops.quadrature(1.0, grid_ops.derived_geometry(s)) for s in (graph, moved)]
     assert abs(areas[0] - areas[1]) <= 1e-13

@@ -35,7 +35,7 @@ def _reference_extrinsic(jet, frame):
     for i in range(2):
         for j in range(2):
             b = second[i][j] + g[..., i, j, None] * p
-            for e in frame.tangents():
+            for e in (frame.E1, frame.E2):
                 b = b - dot(b, e)[..., None] * e
             b = b - dot(b, p)[..., None] * p
             B[..., i, j, :] = b
@@ -145,7 +145,7 @@ def _reference_gradient_norm_decomposition(geo):
     derivative takes the sphere connection's p-term before its projection.
     """
     p = geo.jet.value
-    e = geo.frame.tangents()
+    e = (geo.frame.E1, geo.frame.E2)
     normals = geo.frame.normals()
     bhat = geo.data.Bhat
     omega = np.empty(p.shape[:-1] + (2, 2, 2))  # omega[k, a, b] = <D_k E_a, E_b>

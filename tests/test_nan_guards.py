@@ -28,8 +28,8 @@ def test_check_legendrian_rejects_nan(geometry_cache, monkeypatch):
     surface = geometry_cache("torus", 16, "spectral").surface
     inner = extrinsic.legendrian_residual
 
-    def with_one_nan(jet):
-        au, av = inner(jet)
+    def with_one_nan(p, du, dv):
+        au, av = inner(p, du, dv)
         return _with_one_nan(au), av
 
     monkeypatch.setattr(extrinsic, "legendrian_residual", with_one_nan)

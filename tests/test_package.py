@@ -77,6 +77,25 @@ def test_only_grids_uses_numpy_fft():
     assert users == ["grids.py"]
 
 
+def _calls(tree, owners, attr):
+    """Whether tree calls owner.attr for an owner name in owners."""
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == attr and isinstance(node.func.value, ast.Name)
+               and node.func.value.id in owners for node in ast.walk(tree))
+
+
+def test_only_grids_sums_with_numpy():
+    """One trapezoid rule: every area integral goes through grids.quadrature."""
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if _calls(ast.parse(path.read_text()), ("np", "numpy"), "sum")]
+    assert users == ["grids.py"]
+
+
+def test_flow_takes_no_contact_form_of_its_own():
+    """The flow's Legendrian residual is extrinsic.legendrian_residual, the frame's."""
+    assert not _calls(ast.parse((SRC / "flow.py").read_text()), ("contact",), "contact_form")
+
+
 def _uses_einsum(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "einsum":

@@ -43,7 +43,7 @@ def diagonal_unitary_as_real(a, b):
 
 def moved(surface, seed=0):
     positions = np.roll(surface.positions @ random_unitary_as_real(seed).T, SHIFT, axis=(0, 1))
-    return surface.with_positions(positions)
+    return immersions.GridSurface(positions, surface.scheme)
 
 
 def test_real_form_is_orthogonal_and_commutes_with_j():

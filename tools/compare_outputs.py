@@ -14,23 +14,21 @@ code, `steps` or `stop_reason` changed.  Exits 0 when every op agrees,
     git worktree add ../leglab-parent HEAD~1
     python3 tools/compare_outputs.py ../leglab-parent . --seeds 0 1 2
 
-Standard library only; the library itself is imported from
-<tree>/src inside each child, never from this interpreter.
+Standard library only; each child imports the library as tools/source_trees.py says.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
-import importlib.util
 import json
-import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+from source_trees import CHILD_IMPORT, child_env, library_sources, load_workloads
+
 OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # ops outside the workloads: the fd2 flow; the fd4 N=16 flow, which stops
 # under-resolved; a flow from a large perturbation, under-resolved at
@@ -58,25 +56,10 @@ EXTRA_OPS = (
     ("verify", ("--epsilon", "0.02", "--grid", "8", "--scheme", "fd2")),
     ("verify", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
 )
-CHILD = """
-import sys
-from pathlib import Path
-sys.path.insert(0, sys.argv[1])
-import legendrian_lab
-if Path(legendrian_lab.__file__).resolve().parents[1] != Path(sys.argv[1]).resolve():
-    print(f"legendrian_lab imported from {legendrian_lab.__file__}", file=sys.stderr)
-    sys.exit(3)
+CHILD = CHILD_IMPORT + """
 from legendrian_lab.cli import main
 sys.exit(main(sys.argv[2:]))
 """
-
-
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", HERE / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def distinct_ops(workloads):
@@ -86,14 +69,6 @@ def distinct_ops(workloads):
             if (kind, args) not in ops:
                 ops.append((kind, args))
     return ops + [op for op in EXTRA_OPS if op not in ops]
-
-
-def child_env():
-    env = dict(os.environ)
-    env.pop("PYTHONPATH", None)
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[name] = "1"
-    return env
 
 
 def run_op(src, argv):
@@ -163,10 +138,7 @@ def main(argv=None):
     parser.add_argument("second", type=Path, help="root of the second source tree")
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
-    srcs = [tree.resolve() / "src" for tree in (args.first, args.second)]
-    for src in srcs:
-        if not (src / "legendrian_lab" / "cli.py").is_file():
-            parser.error(f"no library source at {src}")
+    srcs = library_sources(parser, (args.first, args.second))
 
     workloads = load_workloads()
     differing, key_diffs, outcome_changes = [], [], []

@@ -7,31 +7,28 @@ only), a child interpreter per tree imports the library from
 (one `numpy.fft` counter for all of them) with counters, and runs the op
 once through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set
 to 1.  One line per op gives each count as `first -> second`; the counts
-are deterministic, so a single run per tree is enough.  Exits 0, or 2
-on a usage error.
+are deterministic, so a single run per tree is enough.  Exits 0, 2 on a
+usage error, or 3 when a child imports the library from another tree.
 
     python3 tools/kernel_counts.py ../leglab-parent . [--seed 0] [--json counts.json]
 
-Standard library only; the library itself is imported from
-<tree>/src inside each child, never from this interpreter.
+Standard library only; each child imports the library as tools/source_trees.py says.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent.parent
+from source_trees import CHILD_IMPORT, child_env, library_sources, load_workloads
+
 COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals", "numpy.fft")
-CHILD = """
-import json, sys, tempfile
+CHILD = CHILD_IMPORT + """
+import json, tempfile
 import numpy.fft
-sys.path.insert(0, sys.argv[1])
 from legendrian_lab import cli, extrinsic, grids
 
 counts = {}
@@ -60,26 +57,12 @@ print(json.dumps(rows))
 """
 
 
-def load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", HERE / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def child_env():
-    env = dict(os.environ)
-    env.pop("PYTHONPATH", None)
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[name] = "1"
-    return env
-
-
 def count_ops(src, argvs):
     """One row of counts (and the exit code) per argv, from one child interpreter."""
     proc = subprocess.run([sys.executable, "-c", CHILD, str(src), json.dumps(argvs)],
-                          env=child_env(), capture_output=True, text=True, check=True)
+                          env=child_env(), stdout=subprocess.PIPE, text=True)
+    if proc.returncode:
+        sys.exit(proc.returncode)  # the child has said why on stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -90,10 +73,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", type=Path, help="also write the counts to this file")
     args = parser.parse_args(argv)
-    srcs = [tree.resolve() / "src" for tree in (args.first, args.second)]
-    for src in srcs:
-        if not (src / "legendrian_lab" / "cli.py").is_file():
-            parser.error(f"no library source at {src}")
+    srcs = library_sources(parser, (args.first, args.second))
 
     workloads = load_workloads()
     result = {}
