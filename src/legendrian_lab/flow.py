@@ -20,15 +20,16 @@ Four numerical safeguards wrap the raw direction; all four keep descent
 intact, and the stationarity metric ||div JH||_2 is always evaluated on
 the raw field:
 
-* the potential is smoothed with the symmetric positive multiplier
-  (1 + gamma Q(lambda))^{-1} in the flat Fourier basis, where
-  Q(lambda) = lambda(lambda - 6)/4 is the second-variation spectrum of
-  the flat minimal torus (the raw flow is fourth-order parabolic and
-  explicit steps would need tau ~ N^-4);
-* the six Fourier modes with 0 < lambda < 6 are removed: they are the
-  torus's area-lowering Legendrian saddle directions, and descending
-  along their roundoff-seeded content runs away from the stationary
-  set instead of certifying it;
+* the potential is preconditioned by 1/Q(lambda) on lambda > 6 in the
+  flat Fourier basis, Q(lambda) = lambda(lambda - 6)/4 the flat minimal
+  torus's second-variation spectrum, so tau = 1 is close to a Newton step
+  (a Sobolev gradient: Renka and Neuberger, SIAM J. Sci. Comput. 16, 1995;
+  unpreconditioned, the fourth-order flow would need tau ~ N^-4);
+* the modes with lambda <= 6 are removed: the six with 0 < lambda < 6
+  are the torus's area-lowering Legendrian saddle directions, and
+  descending along their roundoff-seeded content runs away from the
+  stationary set instead of certifying it; lambda = 0 and lambda = 6,
+  where Q = 0, are the area-neutral phase and U(3) motions;
 * the modes with |k_u| or |k_v| >= N/3 are removed (Orszag's 2/3 rule):
   there the raw div JH is mostly aliasing, and descending along it
   costs steps at every N and stalls the flow at N >= 64;
@@ -40,8 +41,8 @@ The 2/3 cut adds fixed points: surfaces whose raw div JH lies in the cut
 band.  The descent field and the band part come from one transform of
 each accepted potential.  run_flow stops as "under-resolved" when the
 band part exceeds the target while the passband part meets it, or while
-a stalled line search leaves the band holding most of div JH (a stall on
-a larger passband part is the step size's, not the grid's).
+the band holds most of div JH at the start or after a stalled line search
+(a stall on a larger passband part is the step size's, not the grid's).
 """
 
 from __future__ import annotations
@@ -59,11 +60,10 @@ from .report import Report
 
 TAU_UNDERFLOW = 1e-12
 MAX_HALVINGS = 20
-DEFAULT_TAU0 = 0.03
+DEFAULT_TAU0 = 1.0  # fraction of the preconditioned (Newton-like) step
 DEFAULT_MAX_STEPS = 5000
 DEFAULT_TOL = 1e-4
-SMOOTHING = 0.02  # gamma of the multiplier (1 + gamma Q(lambda))^{-1}
-STEP_CAP = 2e-3  # largest node displacement of one step
+STEP_CAP = 1e-2  # largest node displacement of one step
 DIV_JH_FLOOR = 1e-10  # absolute stationarity target of run_flow
 
 
@@ -104,7 +104,7 @@ def _aliased_band(n):
 
 @functools.lru_cache(maxsize=8)
 def torus_jacobi_multiplier(n):
-    """Fourier multiplier of the smoothed, saddle-filtered, dealiased descent.
+    """Fourier multiplier of the preconditioned descent: 1/Q on lambda > 6, zero elsewhere.
 
     lambda(m, n) = 2(m^2 - mn + n^2) is the (negative of the) flat-torus
     Laplacian spectrum; Q = lambda(lambda-6)/4 the area Hessian on
@@ -113,10 +113,9 @@ def torus_jacobi_multiplier(n):
     k = grids.frequencies(n)
     km, kn = np.meshgrid(k, k, indexing="ij")
     lam = 2.0 * (km**2 - km * kn + kn**2)
-    q = lam * (lam - 6.0) / 4.0
-    mult = 1.0 / (1.0 + SMOOTHING * np.maximum(q, 0.0))
-    mult[(lam > 0.0) & (lam < 6.0)] = 0.0
-    mult[_aliased_band(n)] = 0.0
+    keep = (lam > 6.0) & ~_aliased_band(n)
+    mult = np.zeros((n, n))
+    mult[keep] = 4.0 / (lam[keep] * (lam[keep] - 6.0))
     return grids.read_only(mult)
 
 
@@ -298,7 +297,8 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
         passband, band = _band_split(state.div_JH, state.band, state.surface)
         if state.residual_history[-1][0] <= target:
             stop_reason = "converged"
-        elif band > target and (passband <= target or (state.stalled and band >= passband)):
+        elif band > target and (passband <= target
+                                or ((state.stalled or state.step_index == 0) and band >= passband)):
             stop_reason = "under-resolved"
         elif state.stalled or state.step_index >= max_steps:
             stop_reason = "stalled" if state.stalled else "max_steps"

@@ -112,19 +112,31 @@ def test_second_variation_spectrum_of_flat_torus(geometry_cache):
 
 
 def test_descent_potential_is_positive_multiplier():
+    """1/Q on lambda > 6 off the 2/3-rule band, Q = lambda(lambda - 6)/4; exactly 0 elsewhere.
+
+    Zero at lambda = 0 and lambda = 6, where Q = 0 (area-neutral: the phase
+    and U(3)), on the saddle modes 0 < lambda < 6 and on the band.
+    """
     rng = np.random.default_rng(0)
     f = rng.standard_normal((32, 32))
-    smoothed, band = flow.descent_potential(f)
-    # SPD-psd multiplier: nonnegative pairing with the input
-    assert float(np.sum(f * smoothed)) > 0
+    descent, band = flow.descent_potential(f)
+    # positive semidefinite multiplier: nonnegative pairing with the input
+    assert float(np.sum(f * descent)) > 0
     # the band part is f's cut-band content, which the descent field does not carry
     assert np.array_equal(band, grids.fourier_filter(f, flow._aliased_band(32))[0])
     mult = flow.torus_jacobi_multiplier(32)
     assert np.all(mult >= 0.0)
-    assert mult[0, 0] == 1.0
-    # saddle directions removed
-    assert mult[1, 0] == 0.0 and mult[0, 1] == 0.0 and mult[1, 1] == 0.0
-    assert mult[1, 32 - 1] > 0.0  # (1,-1) is marginal, kept
+    k = np.fft.fftfreq(32, d=1.0 / 32)
+    lam = 2.0 * (k[:, None] ** 2 - k[:, None] * k[None, :] + k[None, :] ** 2)
+    newton = (lam > 6.0) & ~flow._aliased_band(32)
+    assert np.array_equal(mult[newton], 1.0 / (lam[newton] * (lam[newton] - 6.0) / 4.0))
+    assert not np.any(mult[~newton])
+    # lambda = 0 and lambda = 6 (Q = 0): the constant, (1, 0), (1, 1), (1, -1), (2, 1)
+    assert mult[0, 0] == 0.0 and mult[1, 0] == 0.0 and mult[1, 1] == 0.0
+    assert mult[1, -1] == 0.0 and mult[2, 1] == 0.0
+    assert lam[1, -1] == 6.0 and lam[2, 1] == 6.0
+    # the slowest kept mode, lambda = 8 at (2, 0), takes a full Newton step 1/Q = 1/4
+    assert mult[2, 0] == 0.25 and mult[0, -2] == 0.25
     # 2/3-rule dealiasing: |k_u| or |k_v| >= 32/3 is cut
     assert mult[10, 10] > 0.0 and mult[10, -10] > 0.0
     assert mult[11, 0] == 0.0 and mult[0, -11] == 0.0 and mult[16, 16] == 0.0
@@ -326,8 +338,9 @@ def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_pa
 
     monkeypatch.setattr(grid_ops, "normal_laplacian", counted)
     monkeypatch.setattr(flow, "area_of_positions", counted_area)
-    # tau0 = 0.05 makes the line search halve; at the default it never does here
-    result = flow.run_flow(_stable_start(n=16), tau0=0.05, max_steps=5000, tol=1e-4)
+    # tau0 = 2 (twice the preconditioned step) makes the line search halve; at the default
+    # it never does here
+    result = flow.run_flow(_stable_start(n=16), tau0=2.0, max_steps=5000, tol=1e-4)
     state, rep = result.state, result.report
     assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
     assert len(calls) == 1 and calls[0] is result.geometry
@@ -531,6 +544,17 @@ def test_stop_reason_under_resolved_when_the_line_search_stalls_on_the_band():
     passband, band = _band_l2s(result.state)
     assert rep["stop_reason"] == "under-resolved" and rep["stalled"]
     assert 1e-9 * rep["initial_div_JH_l2"] < passband <= band
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stop_reason_under_resolved_at_step_zero_when_the_band_holds_most_of_div_JH(seed):
+    """An eps = 0.3 start at N = 32 is not stepped: its band part is 5.7-10 times its passband."""
+    result = flow.run_flow(_stable_start(eps=0.3, seed=seed))
+    rep = result.report
+    passband, band = _band_l2s(result.state)
+    assert rep["stop_reason"] == "under-resolved" and rep["steps"] == 0
+    assert not rep["stalled"] and not rep["converged"]
+    assert 1e-4 * rep["initial_div_JH_l2"] < passband <= band
 
 
 def test_converged_flow_leaves_the_cut_band_below_the_target(converged_flow):

@@ -486,18 +486,20 @@ def test_one_transform_filters_by_several_multipliers_with_the_bits_of_one_each(
 def test_spectral_flow_transforms_each_accepted_potential_once(monkeypatch):
     """One rfft2 and two irfft2 (descent field, band part) per accepted surface, start included.
 
-    The seed-0 spectral N=32 start converges in 80 steps, so 81 surfaces;
-    the band split once took a transform of its own (161 + 161).  The
-    derivatives are counted from the start's build on, as a flow op makes them.
+    The seed-0 spectral N=32 start converges in 4 preconditioned steps, so 5
+    surfaces; the band split once took a transform of its own.  The
+    derivatives are counted from the start's build on, as a flow op makes
+    them: 11 per step and 38 for the start and the final certificate (at 80
+    steps, before preconditioning, 918).
     """
     transforms = [name for name in np.fft.__all__ if name.endswith(("fft", "fft2", "fftn"))]
     ffts = {name: _counter(monkeypatch, np.fft, name) for name in transforms}
     derivs = _counter(monkeypatch, grids, "deriv")
     result = flow.run_flow(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral", seed=0))
-    assert result.converged and result.state.step_index == 80
+    assert result.converged and result.state.step_index == 4
     counts = {name: len(calls) for name, calls in ffts.items() if calls}
-    assert counts == {"rfft2": 81, "irfft2": 162}
-    assert len(derivs) == 918
+    assert counts == {"rfft2": 5, "irfft2": 10}
+    assert len(derivs) == 82
 
 
 def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkeypatch):

@@ -32,17 +32,17 @@ from source_trees import CHILD_IMPORT, child_env, library_sources, load_workload
 OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # ops outside the workloads: the fd2 flow; the fd4 N=16 flow, which stops
 # under-resolved; a flow from a large perturbation, under-resolved at
-# N = 32, where the flow's potential and div_JH differ most; two
-# non-Legendrian-frame ops, on the integrals and non-torus verify paths;
-# the integrals of a theta-shifted torus; the equatorial sphere, the one
-# catalog surface no other op runs; a flow with a non-default tau0 that
-# stops at max_steps; a verify whose 2N = 256 grid is above
-# grids._MATRIX_MAX_N, so it compares the direct derivative path too;
-# an fd2 N=8 verify that trips div_JH's JH tangency guard (exit 1, no
-# reports), so losing the guard is an exit-code difference; and the fd4
-# N=16 verify of the CLI tests, whose weitzenbock_order (3.61) sits
-# closest to the fd4 _MIN_ORDER gate of 3.5, so a change that moves the
-# fd4 orders shows there first
+# N = 32 from step 0, where the flow's potential and div_JH differ most;
+# two non-Legendrian-frame ops, on the integrals and non-torus verify
+# paths; the integrals of a theta-shifted torus; the equatorial sphere,
+# the one catalog surface no other op runs; a flow with a non-default
+# tau0 (a twentieth of the preconditioned step) that stops at max_steps;
+# a verify whose 2N = 256 grid is above grids._MATRIX_MAX_N, so it
+# compares the direct derivative path too; an fd2 N=8 verify that trips
+# div_JH's JH tangency guard (exit 1, no reports), so losing the guard is
+# an exit-code difference; and the fd4 N=16 verify of the CLI tests,
+# whose weitzenbock_order (3.61) sits closest to the fd4 _MIN_ORDER gate
+# of 3.5, so a change that moves the fd4 orders shows there first
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
