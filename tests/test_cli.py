@@ -68,6 +68,33 @@ def test_verify_perturbed_fd4_orders(tmp_path):
     for key in ("reeb_pairing_order", "closedness_order", "omega_commutation_order",
                 "weitzenbock_order"):
         assert rep[key] >= 3.5
+    for key in cli._SPECTRAL_FLOOR:  # fd schemes keep the N/2N order fit, no floors
+        assert {f"{key}_res_N", f"{key}_res_2N", f"{key}_order"} <= rep.keys()
+        assert f"{key}_floor" not in rep
+    assert "frame_orthonormality_N" in rep  # reported for every Legendrian grid, not gated
+
+
+def test_spectral_verify_fails_an_unresolved_grid_at_n(tmp_path):
+    """At epsilon 0.3, N = 16 every residual (1.3e-2 to 2.4e-1) is far above its floor."""
+    code = run_cli(["verify", "--epsilon", "0.3", "--grid", "16", "--out", str(tmp_path)])
+    assert code == 1
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["failed"].split(",") == [f"{key}_res_N" for key in cli._SPECTRAL_FLOOR]
+    for key in cli._SPECTRAL_FLOOR:
+        assert rep[f"{key}_res_N"] > rep[f"{key}_floor"]
+
+
+@pytest.mark.parametrize("grid", [32, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_verify_passes_resolved_grids_at_n_alone(grid, seed, tmp_path):
+    """Seed 2 holds the largest floor ratios at N = 32 among seeds 0-31."""
+    code = run_cli(["verify", "--epsilon", "0.02", "--grid", str(grid), "--seed", str(seed),
+                    "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    for key in cli._SPECTRAL_FLOOR:
+        assert rep[f"{key}_res_N"] <= rep[f"{key}_floor"]
+    assert not [key for key in rep if key.endswith(("_res_2N", "_order"))]
 
 
 def test_verify_perturbed_fd2_orders_at_32(tmp_path):

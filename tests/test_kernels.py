@@ -526,6 +526,16 @@ def test_residual_pack_projects_once_per_connection_laplacian(monkeypatch):
     assert _calls(monkeypatch, cli._residual_pack, extrinsic.AdaptedFrame, "normal_part") == 23
 
 
+@pytest.mark.parametrize("scheme, grid, builds", [("spectral", 32, 1), ("fd4", 16, 2)])
+def test_verify_builds_a_2n_geometry_for_fd_schemes_only(scheme, grid, builds, monkeypatch,
+                                                          tmp_path):
+    """A spectral Legendrian verify is judged at N alone; fd4 fits orders from N and 2N."""
+    calls = _counter(monkeypatch, grid_ops, "derived_geometry")
+    assert cli.main(["verify", "--epsilon", "0.02", "--grid", str(grid), "--scheme", scheme,
+                     "--out", str(tmp_path)]) == 0
+    assert len(calls) == builds
+
+
 def test_d_frame_matches_the_full_coefficient_combination(geometry_cache):
     """D_E1 from D_u alone gives the bits of c11 D_u + c12 D_v, as c12 is exactly 0."""
     geo = geometry_cache("torus", 32, "fd4", eps=0.02)

@@ -37,8 +37,8 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # paths; the integrals of a theta-shifted torus; the equatorial sphere,
 # the one catalog surface no other op runs; a flow with a non-default
 # tau0 (a twentieth of the preconditioned step) that stops at max_steps;
-# a verify whose 2N = 256 grid is above grids._MATRIX_MAX_N, so it
-# compares the direct derivative path too; an fd2 N=8 verify that trips
+# a spectral verify whose N = 256 grid is above grids._MATRIX_MAX_N, so it
+# compares the direct (rfft) derivative path too; an fd2 N=8 verify that trips
 # div_JH's JH tangency guard (exit 1, no reports), so losing the guard is
 # an exit-code difference; and the fd4 N=16 verify of the CLI tests,
 # whose weitzenbock_order (3.61) sits closest to the fd4 _MIN_ORDER gate
@@ -52,7 +52,7 @@ EXTRA_OPS = (
     ("integrals", ("--epsilon", "0.02", "--theta", "1.0")),
     ("verify", ("--surface", "equatorial-legendrian-sphere", "--grid", "32")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--tau0", "0.05", "--max-steps", "3")),
-    ("verify", ("--epsilon", "0.02", "--grid", "128")),
+    ("verify", ("--epsilon", "0.02", "--grid", "256")),
     ("verify", ("--epsilon", "0.02", "--grid", "8", "--scheme", "fd2")),
     ("verify", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
 )
