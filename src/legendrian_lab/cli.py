@@ -208,7 +208,9 @@ def _grid_suite(args, rep, failures):
 
     Legendrian grids run the structure-identity residual pack: spectral
     at N against _SPECTRAL_FLOOR, fd schemes at N and 2N against
-    _MIN_ORDER.  Other grids check the Gauss curvature consistency.
+    _MIN_ORDER; a pack that raises (div_JH's JH tangency guard on an
+    under-resolved grid) fails as residual_pack_error, its message.  Other
+    grids check the Gauss curvature consistency.
     """
     geo = grid_ops.derived_geometry(_build_grid(args))
     if not geo.frame.legendrian:
@@ -218,17 +220,23 @@ def _grid_suite(args, rep, failures):
                 kdev <= max(1e-8, 100.0 * args.grid ** -2.0))
         return
     rep.set("frame_orthonormality_N", geo.frame.orthonormality_residual(geo.jet.value))
-    r1 = _residual_pack(geo)
+    x_max = float(np.max(np.abs(geo.jet.value)))
+    try:
+        r1 = _residual_pack(geo)
+        if args.scheme != "spectral":
+            del geo  # freed before the 2N grid, whose residual pack sets the peak
+            r2 = _residual_pack(grid_ops.derived_geometry(_build_grid(args, n=2 * args.grid)))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _record(rep, failures, "residual_pack_error", str(exc), False)
+        return
     if args.scheme == "spectral":
-        x_max = float(np.max(np.abs(geo.jet.value)))
         for key, value in r1.items():
             c, k = _SPECTRAL_FLOOR[key]
             floor = c * np.finfo(float).eps * args.grid**k * x_max
             _record(rep, failures, f"{key}_res_N", value, value <= floor)
             rep.set(f"{key}_floor", floor)
         return
-    del geo  # freed before the 2N grid, whose residual pack sets the peak
-    r2 = _residual_pack(grid_ops.derived_geometry(_build_grid(args, n=2 * args.grid)))
     for key in r1:
         rep.set(f"{key}_res_N", r1[key])
         rep.set(f"{key}_res_2N", r2[key])

@@ -17,7 +17,7 @@ S, H^2, rho^2 and K are frame-free.  Everything broadcasts over leading
 batch axes.
 
 The metric, the Legendrian residual and H are built eagerly, as a flow
-step reads nothing else; B, h, S, rho^2 and K on first read.  H goes
+step reads nothing else; B, h, S, rho^2, K and det_sum on first read.  H goes
 through no normal frame: it is the normal part of (1/2) (c^T c)_ij d_ij x,
 the trace of B in the frame's own contraction.
 """
@@ -159,6 +159,9 @@ class ExtrinsicData:
     H2 = cached_property(lambda self: dot(self.Hvec, self.Hvec))
     rho2 = cached_property(lambda self: self.S - 2.0 * self.H2)
     K = cached_property(lambda self: 0.5 * (2.0 + 4.0 * self.H2 - self.S))
+    det_sum = cached_property(lambda self: (  # det h^1 + det h^2, read by the Simons identity
+        self.h[..., 0, 0, 0] * self.h[..., 0, 1, 1] - self.h[..., 0, 0, 1] ** 2
+        + (self.h[..., 1, 0, 0] * self.h[..., 1, 1, 1] - self.h[..., 1, 0, 1] ** 2)))
 
 
 def check_induced_metric(det):
@@ -203,8 +206,8 @@ def pointwise_identity_residuals(data: ExtrinsicData) -> IdentityResiduals:
     """Gauss-identity residual; on a Legendrian frame also Reeb-component and symmetry.
 
     On a Legendrian frame h^3 = 0 and h^c_ab = h^a_cb = h^b_ac, whose
-    (a, b) swap is the symmetry of B.  det h^1 + det h^2 is the normal
-    curvature pairing consumed by the integrated Simons identity.
+    (a, b) swap is the symmetry of B.  det_sum is data.det_sum, which the
+    integrated Simons identity reads directly.
     """
     gauss = float(np.max(np.abs(2.0 * data.K - 2.0 - 4.0 * data.H2 + data.S)))
     if not data.frame.legendrian:
@@ -217,7 +220,5 @@ def pointwise_identity_residuals(data: ExtrinsicData) -> IdentityResiduals:
         axes = tuple(-3 + perm.index(k) for k in range(3))
         tp = np.moveaxis(t, (-3, -2, -1), axes)
         sym3 = max(sym3, float(np.max(np.abs(tp - t))))
-    det1 = h[..., 0, 0, 0] * h[..., 0, 1, 1] - h[..., 0, 0, 1] ** 2
-    det2 = h[..., 1, 0, 0] * h[..., 1, 1, 1] - h[..., 1, 0, 1] ** 2
     return IdentityResiduals(h3_max=h3_max, sym3_max=sym3, gauss_identity_max=gauss,
-                             det_sum=det1 + det2)
+                             det_sum=data.det_sum)

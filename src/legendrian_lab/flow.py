@@ -282,9 +282,9 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
     (a purely relative target would chase roundoff).  The final report
     says why the flow stopped (stop_reason, see the module docstring for
     under-resolved) and carries the stationarity certificates of the last
-    accepted surface: the Euler-Lagrange residual, the comparison
-    integrals I1/I2 and the integral-identity residual E, all read off the
-    one DerivedGeometry the run builds, and final_div_JH_operator_dev, the
+    accepted surface: the Euler-Lagrange residual, and W, I1, I2, E and
+    Sigma_Simons of grid_ops.surface_integrals, all read off the one
+    DerivedGeometry the run builds, and final_div_JH_operator_dev, the
     largest gap between the flow's -(1/2) Delta_g beta and grid_ops.div_JH.
     """
     if not (tol > 0 and tau0 > 0):
@@ -308,7 +308,7 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
 
     geo = grid_ops.derived_geometry(state.surface)
     operator_dev = float(np.max(np.abs(state.div_JH - grid_ops.div_JH(geo))))
-    integrals = grid_ops.integral_report(geo)
+    integrals = grid_ops.surface_integrals(geo)
     el = grid_ops.el_residual(geo)
     rep = Report()
     rep.set("steps", state.step_index)

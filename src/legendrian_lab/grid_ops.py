@@ -62,6 +62,16 @@ class DerivedGeometry:
                       + ginv[..., 1, :, :] * t[..., None, :, :, 1])
 
     @functools.cached_property
+    def connection(self):
+        """_frame_connection's tangential and normal table, taken once for both gradient routes."""
+        return _frame_connection(self)
+
+    @functools.cached_property
+    def full_gradient_norms(self):
+        """(|nabla B|^2, |nabla^nu H|^2) per point by the frame-free route, taken once."""
+        return _full_gradient_norms(self)
+
+    @functools.cached_property
     def gamma_trace(self):
         """Contracted Christoffel symbols Gamma^k = g^{ij} Gamma^k_ij (N, N, 2)."""
         gi, gam = self.data.ginv[..., None], self.gamma
@@ -407,18 +417,15 @@ def _frame_connection(geo: DerivedGeometry):
     return [[rows[a][k] for a in range(2)] for k in range(2)]
 
 
-def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
-    geo.check_legendrian(what="gradient_norm_decomposition")
-    bhat = geo.data.Bhat
-    conn = _frame_connection(geo)  # tangential <D_k E_a, E_b>, normal <D_k N_a, N_b>
+# Bhat and h are symmetric in their tangent indices: sums take (0, 1) once, counted twice
+_SYMMETRIC_PAIRS = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0))
 
-    # Bhat and h are symmetric in their two tangent indices, so each sum over
-    # them takes the (0, 1) entry once and counts it twice
-    pairs = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0))
 
-    # frame-free full covariant derivative of B (vector route); for a = b its two sums are one
+def _full_gradient_norms(geo: DerivedGeometry):
+    """Frame-free |nabla B|^2 (vector route; for a = b its two sums are one) and |nabla^nu H|^2."""
+    bhat, conn = geo.data.Bhat, geo.connection
     full_h2 = np.zeros((geo.n, geo.n))
-    for a, b, count in pairs:
+    for a, b, count in _SYMMETRIC_PAIRS:
         for k, dbab in enumerate(geo.d_frame(bhat[..., a, b, :])):
             ca, cb = conn[k][a], conn[k][b]
             w = geo.frame.normal_part(dbab)
@@ -429,12 +436,14 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
             w -= s
             full_h2 = full_h2 + count * dot(w, w)
         del w, s  # freed before the next slice's derivative pair
+    return full_h2, normal_gradient_H_squared(geo)
 
-    full_H2 = normal_gradient_H_squared(geo)
 
-    # frame-component route for the tangential (non-Reeb) parts
-    h = geo.data.h
-    hcomp = geo.data.Hcomp
+def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
+    """The geometry's frame-free norms against the frame-component route, which only it takes."""
+    geo.check_legendrian(what="gradient_norm_decomposition")
+    full_h2, full_H2 = geo.full_gradient_norms
+    conn, h, hcomp = geo.connection, geo.data.h, geo.data.Hcomp
     tangential_h2 = np.zeros_like(full_h2)
     tangential_H2 = np.zeros_like(full_H2)
     for k, (dH, dh) in enumerate(zip(geo.d_frame(hcomp), geo.d_frame(h[..., :2, :, :]))):
@@ -443,7 +452,7 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
             Hk = dH[..., b] - (c[b][0] * hcomp[..., 0] + c[b][1] * hcomp[..., 1]
                                + c[b][2] * hcomp[..., 2])
             tangential_H2 = tangential_H2 + Hk**2
-            for i, j, count in pairs:
+            for i, j, count in _SYMMETRIC_PAIRS:
                 habk = (dh[..., b, i, j]
                         - (c[b][0] * h[..., 0, i, j] + c[b][1] * h[..., 1, i, j]
                            + c[b][2] * h[..., 2, i, j])
@@ -466,12 +475,11 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
 # Integral report
 
 
-def integral_report(geo: DerivedGeometry) -> Report:
-    """Area, Willmore energy, comparison integrals and integral identities.
+def surface_integrals(geo: DerivedGeometry) -> Report:
+    """Area, Willmore energy, comparison integrals, E and Sigma_Simons: the flow's certificate.
 
-    The Legendrian-only entries (E, Sigma_Simons, Li margin, decomposition
-    residuals) are None, not failures, when the frame is not Legendrian;
-    the legendrian key is that frame flag.
+    E and Sigma_Simons read the frame-free gradient norms and det_sum; they
+    are None, not failures, off a Legendrian frame (the legendrian key).
     """
     d = geo.data
     rep = Report()
@@ -486,16 +494,19 @@ def integral_report(geo: DerivedGeometry) -> Report:
     rep.set("legendrian_residual", float(np.max(geo.frame.legendrian_residual)))
     rep.set("legendrian", geo.frame.legendrian)
     if not geo.frame.legendrian:
-        for key in ("E", "Sigma_Simons", "grad_h_decomposition_res",
-                    "grad_H_decomposition_res", "li_margin_min"):
-            rep.set(key, None)
-        return rep
-    norms = gradient_norm_decomposition(geo)
-    ident = extrinsic.pointwise_identity_residuals(d)
-    simons = norms.full_h2 - 4.0 * norms.full_H2 + 2.0 * d.K * d.rho2 - 2.0 * ident.det_sum**2
-    rep.set("E", quadrature(norms.full_H2, geo) + quadrature(d.K * d.H2, geo))
+        return rep.set("E", None).set("Sigma_Simons", None)
+    full_h2, full_H2 = geo.full_gradient_norms
+    simons = full_h2 - 4.0 * full_H2 + 2.0 * d.K * d.rho2 - 2.0 * d.det_sum**2
+    rep.set("E", quadrature(full_H2, geo) + quadrature(d.K * d.H2, geo))
     rep.set("Sigma_Simons", quadrature(simons, geo))
-    rep.set("grad_h_decomposition_res", norms.residual_h_max)
-    rep.set("grad_H_decomposition_res", norms.residual_H_max)
-    rep.set("li_margin_min", norms.li_margin_min)
+    return rep
+
+
+def integral_report(geo: DerivedGeometry) -> Report:
+    """The `integrals` report: surface_integrals plus gradient_norm_decomposition's diagnostics."""
+    rep = surface_integrals(geo)
+    norms = gradient_norm_decomposition(geo) if geo.frame.legendrian else None
+    rep.set("grad_h_decomposition_res", norms and norms.residual_h_max)
+    rep.set("grad_H_decomposition_res", norms and norms.residual_H_max)
+    rep.set("li_margin_min", norms and norms.li_margin_min)
     return rep

@@ -114,6 +114,17 @@ def test_under_resolved_verify_trips_the_jh_tangency_guard(tmp_path, capsys):
     assert "JH tangency error" in capsys.readouterr().err
 
 
+def test_verify_that_trips_the_jh_tangency_guard_still_writes_its_report(tmp_path, capsys):
+    """Spectral N=16 at epsilon 0.3, seed 1: the residual pack aborts, the report names why."""
+    code = run_cli(["verify", "--epsilon", "0.3", "--grid", "16", "--seed", "1",
+                    "--out", str(tmp_path)])
+    assert code == 1
+    assert "JH tangency error" in capsys.readouterr().err
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["failed"] == "residual_pack_error" and rep["passed"] is False
+    assert rep["residual_pack_error"].startswith("JH tangency error")
+
+
 def test_integrals_torus(tmp_path):
     out = tmp_path / "i"
     assert run_cli(["integrals", "--surface", "legendrian-torus", "--out", str(out)]) == 0

@@ -469,8 +469,10 @@ def test_integrated_simons_identity_on_perturbed(geometry_cache):
         assert abs(rep["Sigma_Simons"]) < bound
 
 
-def test_integral_report_takes_normal_gradient_of_H_once(geometry_cache, monkeypatch):
-    geo = geometry_cache("torus", 32, "spectral", eps=0.02)
+def test_integral_report_takes_normal_gradient_of_H_once(monkeypatch):
+    # a fresh geometry: a shared one may hold the norms an earlier test cached on it
+    geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral",
+                                                               seed=0, mode="generic"))
     assert geo.frame.legendrian
     calls = []
     inner = grid_ops.normal_gradient_H_squared

@@ -489,8 +489,9 @@ def test_spectral_flow_transforms_each_accepted_potential_once(monkeypatch):
     The seed-0 spectral N=32 start converges in 4 preconditioned steps, so 5
     surfaces; the band split once took a transform of its own.  The
     derivatives are counted from the start's build on, as a flow op makes
-    them: 11 per step and 38 for the start and the final certificate (at 80
-    steps, before preconditioning, 918).
+    them: 11 per step and 34 for the start and the final certificate (at 80
+    steps, before preconditioning, 918).  The certificate reads
+    surface_integrals, so it differentiates nothing for the tangential route.
     """
     transforms = [name for name in np.fft.__all__ if name.endswith(("fft", "fft2", "fftn"))]
     ffts = {name: _counter(monkeypatch, np.fft, name) for name in transforms}
@@ -499,7 +500,7 @@ def test_spectral_flow_transforms_each_accepted_potential_once(monkeypatch):
     assert result.converged and result.state.step_index == 4
     counts = {name: len(calls) for name, calls in ffts.items() if calls}
     assert counts == {"rfft2": 5, "irfft2": 10}
-    assert len(derivs) == 82
+    assert len(derivs) == 78
 
 
 def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkeypatch):
@@ -510,6 +511,24 @@ def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkey
     """
     # 2 tangents, the 3 distinct Bhat slices, H, H's components and h^1, h^2
     assert _calls(monkeypatch, grid_ops.gradient_norm_decomposition) == 16
+
+
+def test_flow_certificate_takes_neither_the_tangential_route_nor_the_identity_checks(monkeypatch):
+    """run_flow reports no decomposition diagnostic, h^3 or symmetry residual, so it takes none."""
+    skipped = [_counter(monkeypatch, grid_ops, "gradient_norm_decomposition"),
+               _counter(monkeypatch, extrinsic, "pointwise_identity_residuals")]
+    result = flow.run_flow(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral", seed=0))
+    assert result.report["final_Sigma_Simons"] is not None
+    assert skipped == [[], []]
+
+
+def test_integral_report_takes_the_frame_connection_and_each_route_once(monkeypatch):
+    """The frame-free norms and the connection table are cached on the geometry for both routes."""
+    tables = _counter(monkeypatch, grid_ops, "_frame_connection")
+    routes = _counter(monkeypatch, grid_ops, "gradient_norm_decomposition")
+    assert _calls(monkeypatch, grid_ops.integral_report, grid_ops,
+                  "normal_gradient_H_squared") == 1
+    assert (len(tables), len(routes)) == (1, 1)
 
 
 def test_residual_pack_differentiates_the_metric_once(monkeypatch):

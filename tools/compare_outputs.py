@@ -39,8 +39,10 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # tau0 (a twentieth of the preconditioned step) that stops at max_steps;
 # a spectral verify whose N = 256 grid is above grids._MATRIX_MAX_N, so it
 # compares the direct (rfft) derivative path too; an fd2 N=8 verify that trips
-# div_JH's JH tangency guard (exit 1, no reports), so losing the guard is
-# an exit-code difference; and the fd4 N=16 verify of the CLI tests,
+# div_JH's JH tangency guard (exit 1; its report names residual_pack_error
+# in failed), so losing the guard is an exit-code difference; a spectral
+# N=16 verify at epsilon 0.3, which trips the same guard on seed 1 and
+# fails seven _res_N floors on seed 0; and the fd4 N=16 verify of the CLI tests,
 # whose weitzenbock_order (3.61) sits closest to the fd4 _MIN_ORDER gate
 # of 3.5, so a change that moves the fd4 orders shows there first
 EXTRA_OPS = (
@@ -54,6 +56,7 @@ EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--tau0", "0.05", "--max-steps", "3")),
     ("verify", ("--epsilon", "0.02", "--grid", "256")),
     ("verify", ("--epsilon", "0.02", "--grid", "8", "--scheme", "fd2")),
+    ("verify", ("--epsilon", "0.3", "--grid", "16")),
     ("verify", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
 )
 CHILD = CHILD_IMPORT + """

@@ -3,8 +3,11 @@
 For each op of the benchmark workloads (perfbench/workloads.py, read
 only), a child interpreter per tree imports the library from
 <tree>/src, wraps `grids.deriv`, `extrinsic.AdaptedFrame.normal_part`,
-`extrinsic.AdaptedFrame.normals` and every transform of `numpy.fft`
-(one `numpy.fft` counter for all of them) with counters, and runs the op
+`extrinsic.AdaptedFrame.normals`, `grid_ops.gradient_norm_decomposition`
+(the one function that takes the frame-component, or tangential, route
+of the gradient norms), `extrinsic.pointwise_identity_residuals` (the h^3
+and symmetry checks) and every transform of `numpy.fft` (one `numpy.fft`
+counter for all of them) with counters, and runs the op
 once through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set
 to 1.  One line per op gives each count as `first -> second`; the counts
 are deterministic, so a single run per tree is enough.  Exits 0, 2 on a
@@ -25,11 +28,12 @@ from pathlib import Path
 
 from source_trees import CHILD_IMPORT, child_env, library_sources, load_workloads
 
-COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals", "numpy.fft")
+COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals",
+            "gradient_norm_decomposition", "pointwise_identity_residuals", "numpy.fft")
 CHILD = CHILD_IMPORT + """
 import json, tempfile
 import numpy.fft
-from legendrian_lab import cli, extrinsic, grids
+from legendrian_lab import cli, extrinsic, grid_ops, grids
 
 counts = {}
 
@@ -44,6 +48,8 @@ def counted(owner, name, label):
 counted(grids, "deriv", "grids.deriv")
 counted(extrinsic.AdaptedFrame, "normal_part", "AdaptedFrame.normal_part")
 counted(extrinsic.AdaptedFrame, "normals", "AdaptedFrame.normals")
+counted(grid_ops, "gradient_norm_decomposition", "gradient_norm_decomposition")
+counted(extrinsic, "pointwise_identity_residuals", "pointwise_identity_residuals")
 for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
     counted(numpy.fft, name, "numpy.fft")
