@@ -191,6 +191,8 @@ def _residual_pack(geo):
     theta = np.stack([np.cos(uu + vv), np.sin(uu - 2 * vv)], axis=-1)
     _, _, wres = grid_ops.oneform_laplacians(theta, geo)
     out["weitzenbock"] = float(np.max(wres))
+    for table in ("gamma", "gamma_trace"):  # dropped from the cache after their last reader
+        vars(geo).pop(table, None)
     norms = grid_ops.gradient_norm_decomposition(geo)
     out["grad_h_decomposition"] = norms.residual_h_max
     out["grad_H_decomposition"] = norms.residual_H_max
@@ -219,8 +221,8 @@ def _grid_suite(args, rep, failures):
         _record(rep, failures, "gauss_consistency_ok", kdev,
                 kdev <= max(1e-8, 100.0 * args.grid ** -2.0))
         return
-    rep.set("frame_orthonormality_N", geo.frame.orthonormality_residual(geo.jet.value))
-    x_max = float(np.max(np.abs(geo.jet.value)))
+    rep.set("frame_orthonormality_N", geo.frame.orthonormality_residual(geo.frame.p))
+    x_max = float(np.max(np.abs(geo.frame.p)))
     try:
         r1 = _residual_pack(geo)
         if args.scheme != "spectral":
@@ -293,14 +295,21 @@ def cmd_integrals(args):
 
 def cmd_flow(args):
     _validate(args)
-    g = _build_grid(args, mode="stable")
-    result = flow.run_flow(g, tau0=args.tau0, max_steps=args.max_steps, tol=args.tol)
-    rep = result.report
+    try:
+        g = _build_grid(args, mode="stable")
+    except ValueError as exc:  # the start is not a Legendrian graph: reported as start_error
+        print(f"error: {exc}", file=sys.stderr)
+        result, rep = None, Report().set("converged", False).set("start_error", str(exc))
+    else:
+        result = flow.run_flow(g, tau0=args.tau0, max_steps=args.max_steps, tol=args.tol)
+        rep = result.report
     _set_run_keys(rep, args)
     rep.set("epsilon", args.epsilon)
     rep.set("tau0", args.tau0)
     rep.set("tol", args.tol)
     rep.write(args.out)
+    if result is None:
+        return 1
     flow.write_flow_csv(result.state, os.path.join(args.out, "flow.csv"))
     return 0 if result.converged else 1
 

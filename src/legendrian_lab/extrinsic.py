@@ -16,10 +16,10 @@ reads.  Only a Legendrian frame has a normal frame, the paper's
 S, H^2, rho^2 and K are frame-free.  Everything broadcasts over leading
 batch axes.
 
-The metric, the Legendrian residual and H are built eagerly, as a flow
-step reads nothing else; B, h, S, rho^2, K and det_sum on first read.  H goes
-through no normal frame: it is the normal part of (1/2) (c^T c)_ij d_ij x,
-the trace of B in the frame's own contraction.
+The metric, the Legendrian residual, H and B are built eagerly (every reader
+of a geometry reads B, through S or K), so no second derivative outlives the
+build; h, S, rho^2, K and det_sum on first read.  H goes through no normal
+frame: it is the normal part of (1/2) (c^T c)_ij d_ij x, B's trace in the frame's contraction.
 """
 
 from __future__ import annotations
@@ -132,24 +132,8 @@ class ExtrinsicData:
     ginv: np.ndarray         # (..., 2, 2)
     sqrt_det_g: np.ndarray   # (...,)
     Hvec: np.ndarray         # (..., 6)
-    jet: Jet2
+    Bhat: np.ndarray         # (..., 2, 2, 6) normal-valued second fundamental form, flat indices
     frame: AdaptedFrame
-
-    @cached_property
-    def Bhat(self):
-        """(..., 2, 2, 6) normal-valued second fundamental form, flat indices."""
-        jet, frame, p = self.jet, self.frame, self.jet.value
-        B = {(i, j): frame.normal_part(d2 + self.g[..., i, j, None] * p)  # coordinate B_ij
-             for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv))}
-        B[1, 0] = B[0, 1]
-        # Bhat_ab = sum_ij (c_ai c_bj) B_ij, summed in (i, j) order
-        c = frame.coeff
-        Bhat = np.empty(p.shape[:-1] + (2, 2, 6))
-        for a in range(2):
-            for b in range(2):
-                Bhat[..., a, b, :] = sum((c[..., a, i] * c[..., b, j])[..., None] * B[i, j]
-                                         for i in range(2) for j in range(2))
-        return Bhat
 
     # (..., 3, 2, 2) <Bhat_ab, N_k>; raises through normals() off a Legendrian frame
     h = cached_property(lambda self: np.stack(
@@ -171,12 +155,13 @@ def check_induced_metric(det):
 
 
 def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
-    """Metric and H = (1/2) P_nu(sum_ij (c^T c)_ij d_ij x); the rest on first read.
+    """Metric, H = (1/2) P_nu(sum_ij (c^T c)_ij d_ij x) and Bhat; the rest on first read.
 
     P_nu is frame.normal_part, so no normal frame is built.  c^T c is the
     inverse metric of the tangential parts of d_i x, the contraction Bhat
     uses, so H is (1/2) tr Bhat to roundoff; ginv, from the raw jets,
-    differs from it by the O(scheme) radial part of FD jets.
+    differs from it by the O(scheme) radial part of FD jets.  Bhat is
+    summed one coordinate B_ij at a time, so the build holds one B_ij.
     """
     E, F, G, det = first_fundamental_form(jet.du, jet.dv)
     check_induced_metric(det)
@@ -184,12 +169,18 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     ginv = np.stack([np.stack([G, -F], axis=-1), np.stack([-F, E], axis=-1)], axis=-2)
     ginv /= det[..., None, None]
 
-    c = frame.coeff
-    trace = sum((c[..., 0, i] * c[..., 0, j] + c[..., 1, i] * c[..., 1, j])[..., None] * d2
-                for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 0, jet.duv),
-                                 (1, 1, jet.dvv)))
-    return ExtrinsicData(g=g, ginv=ginv, sqrt_det_g=np.sqrt(det),
-                         Hvec=0.5 * frame.normal_part(trace), jet=jet, frame=frame)
+    c, p = frame.coeff, jet.value
+    Hvec = 0.5 * frame.normal_part(sum(
+        (c[..., 0, i] * c[..., 0, j] + c[..., 1, i] * c[..., 1, j])[..., None] * d2
+        for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 0, jet.duv), (1, 1, jet.dvv))))
+    # Bhat_ab = sum_ij (c_ai c_bj) B_ij, each sum in (i, j) order; B_10 = B_01
+    Bhat = np.zeros(p.shape[:-1] + (2, 2, 6))
+    for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv)):
+        bij = frame.normal_part(d2 + g[..., i, j, None] * p)  # coordinate B_ij
+        for k, m in dict.fromkeys([(i, j), (j, i)]):
+            for a, b in np.ndindex(2, 2):
+                Bhat[..., a, b, :] += (c[..., a, k] * c[..., b, m])[..., None] * bij
+    return ExtrinsicData(g, ginv, np.sqrt(det), Hvec, Bhat, frame)
 
 
 @dataclass(frozen=True)

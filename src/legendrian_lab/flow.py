@@ -89,7 +89,7 @@ def first_variation_check(geo: grid_ops.DerivedGeometry, f, eps=1e-3):
 
     geometric = -2.0 * grid_ops.quadrature(dot(geo.data.Hvec, v), geo)
     divergence = -grid_ops.quadrature(f * grid_ops.div_JH(geo), geo)
-    plus, minus = (GridSurface(contact.normalize(geo.jet.value + s * v), geo.scheme)
+    plus, minus = (GridSurface(contact.normalize(geo.frame.p + s * v), geo.scheme)
                    for s in (eps, -eps))
     fd = (area_of_positions(plus) - area_of_positions(minus)) / (2 * eps)
     return geometric, divergence, fd

@@ -36,10 +36,9 @@ JH_TANGENCY_ABORT = 1e-3
 
 @dataclass(frozen=True)
 class DerivedGeometry:
-    """Per-node frames, curvature data and metric derivatives of a grid."""
+    """Per-node frames, curvature data and metric derivatives of a grid; it holds no d_ij x."""
 
     surface: GridSurface
-    jet: "extrinsic.Jet2"
     frame: extrinsic.AdaptedFrame
     data: extrinsic.ExtrinsicData
 
@@ -90,10 +89,13 @@ class DerivedGeometry:
         return grids.deriv(field, axis, self.scheme)
 
     def d_frame(self, field):
-        """(D_E1, D_E2) of field from one (D_u, D_v) pair; coeff is triangular, E1 along d_u."""
+        """(D_E1, D_E2) of field from one (D_u, D_v) pair, scaled in place; coeff is triangular."""
         du, dv = self.d(field, 0), self.d(field, 1)
         c = self.frame.coeff.reshape(self.frame.coeff.shape + (1,) * (field.ndim - 2))
-        return c[:, :, 0, 0] * du, c[:, :, 1, 0] * du + c[:, :, 1, 1] * dv
+        dv *= c[:, :, 1, 1]
+        dv += c[:, :, 1, 0] * du
+        du *= c[:, :, 0, 0]
+        return du, dv
 
     def check_legendrian(self, what="operation"):
         """Raise unless the frame is Legendrian, the one predicate of adapted_frame."""
@@ -112,8 +114,7 @@ def derived_geometry(surface: GridSurface) -> DerivedGeometry:
     """Differentiate the grid once and assemble all pointwise data."""
     jet = surface.jets()
     frame = extrinsic.adapted_frame(jet)
-    data = extrinsic.extrinsic_data(jet, frame)
-    return DerivedGeometry(surface=surface, jet=jet, frame=frame, data=data)
+    return DerivedGeometry(surface=surface, frame=frame, data=extrinsic.extrinsic_data(jet, frame))
 
 
 def quadrature(f, geo: DerivedGeometry):
@@ -174,9 +175,12 @@ def _connection_laplacian(first, geo: DerivedGeometry, project):
     removes p, so g^{ij} P(D_i first_j + <x_i, first_j> p) is one projection of the sum.
     """
     ginv, gam = geo.data.ginv[..., None], geo.gamma_trace
-    mixed = geo.d(first[0], 1) + geo.d(first[1], 0)  # g^{01} = g^{10}: both orders at once
-    out = project(ginv[..., 0, 0, :] * geo.d(first[0], 0) + ginv[..., 0, 1, :] * mixed
-                  + ginv[..., 1, 1, :] * geo.d(first[1], 1))
+    out = geo.d(first[0], 1)
+    out += geo.d(first[1], 0)  # g^{01} = g^{10}: both orders at once
+    out *= ginv[..., 0, 1, :]  # summed in place from the g^{01} term: X + Y rounds as Y + X
+    out += ginv[..., 0, 0, :] * geo.d(first[0], 0)
+    out += ginv[..., 1, 1, :] * geo.d(first[1], 1)
+    out = project(out)
     out -= gam[..., 0, None] * first[0] + gam[..., 1, None] * first[1]
     return out
 
@@ -196,9 +200,9 @@ def div_JH(geo: DerivedGeometry):
     raised when it exceeds JH_TANGENCY_ABORT (an under-resolved grid).
     """
     geo.check_legendrian(what="div_JH")
-    w = j_apply(geo.data.Hvec)
-    contra = _matvec(geo.data.ginv, np.stack([dot(w, geo.jet.du), dot(w, geo.jet.dv)], axis=-1))
-    tangential = contra[..., 0, None] * geo.jet.du + contra[..., 1, None] * geo.jet.dv
+    w, (du, dv) = j_apply(geo.data.Hvec), geo.surface.first_derivatives
+    contra = _matvec(geo.data.ginv, np.stack([dot(w, du), dot(w, dv)], axis=-1))
+    tangential = contra[..., 0, None] * du + contra[..., 1, None] * dv
     err = float(np.max(contact.norm(w - tangential)))
     if not err <= JH_TANGENCY_ABORT:
         raise ValueError(f"JH tangency error {err:.3e} exceeds {JH_TANGENCY_ABORT:.1e}")
@@ -282,9 +286,7 @@ def oneform_laplacians(theta, geo: DerivedGeometry):
 
 def omega_contraction(v, geo: DerivedGeometry):
     """One-form X -> <V, J0 X> in the coordinate coframe."""
-    return np.stack(
-        [dot(v, j_apply(geo.jet.du)), dot(v, j_apply(geo.jet.dv))], axis=-1
-    )
+    return np.stack([dot(v, j_apply(dx)) for dx in geo.surface.first_derivatives], axis=-1)
 
 
 def ker_alpha_normal_field(geo: DerivedGeometry, c1, c2):
@@ -294,12 +296,12 @@ def ker_alpha_normal_field(geo: DerivedGeometry, c1, c2):
     NL intersect ker(alpha) contract (discrete frames are normal only to
     scheme accuracy on perturbed grids).
     """
-    r = j_apply(geo.jet.value)
+    r = j_apply(geo.frame.p)
     v = (np.asarray(c1)[..., None] * j_apply(geo.frame.E1)
          + np.asarray(c2)[..., None] * j_apply(geo.frame.E2))
     for _ in range(3):
         v = geo.frame.normal_part(v)
-        v = v - contact.contact_form(geo.jet.value, v, check=False)[..., None] * r
+        v = v - contact.contact_form(geo.frame.p, v, check=False)[..., None] * r
     return geo.frame.normal_part(v)
 
 
@@ -317,21 +319,21 @@ def omega_commutation_residual(v, geo: DerivedGeometry):
     """
     v = np.asarray(v, dtype=float)
     check_normal_field(v, geo, what="omega_commutation input")
-    alpha_v = contact.contact_form(geo.jet.value, v, check=False)
+    alpha_v = contact.contact_form(geo.frame.p, v, check=False)
     scale = max(1.0, float(np.max(contact.norm(v))))
     if not float(np.max(np.abs(alpha_v))) <= KER_ALPHA_TOL * scale:
         raise ValueError("omega_commutation input must lie in ker(alpha)")
     theta = omega_contraction(v, geo)
     lhs = oneform_rough_laplacian(theta, geo)
 
-    r = j_apply(geo.jet.value)
+    r = j_apply(geo.frame.p)
     proj_ker = lambda w: w - dot(w, r)[..., None] * r
-    first_full = covariant_derivative_normal(v, geo)
-    discrepancy = max(float(np.max(np.abs(dot(w, r)))) for w in first_full)
-    first = [proj_ker(w) for w in first_full]
+    first = covariant_derivative_normal(v, geo)
+    discrepancy = max(float(np.max(np.abs(dot(w, r)))) for w in first)
+    first = [proj_ker(w) for w in first]
     lap = _connection_laplacian(first, geo, lambda w: proj_ker(geo.frame.normal_part(w)))
-    rhs = omega_contraction(lap, geo)
-    return lhs - rhs, discrepancy
+    lhs -= omega_contraction(lap, geo)
+    return lhs, discrepancy
 
 
 def reeb_pairing_residual(geo: DerivedGeometry):
@@ -342,7 +344,7 @@ def reeb_pairing_residual(geo: DerivedGeometry):
     """
     geo.check_legendrian(what="reeb_pairing_residual")
     lap = normal_laplacian(geo.data.Hvec, geo)
-    pairing = dot(lap, j_apply(geo.jet.value))
+    pairing = dot(lap, j_apply(geo.frame.p))
     return pairing - 2.0 * div_JH(geo)
 
 
@@ -400,7 +402,7 @@ def normal_gradient_H_squared(geo: DerivedGeometry):
     out = np.zeros((geo.n, geo.n))
     for dh in geo.d_frame(geo.data.Hvec):
         w = geo.frame.normal_part(dh)
-        out = out + dot(w, w)
+        out += dot(w, w)
     return out
 
 
@@ -429,13 +431,15 @@ def _full_gradient_norms(geo: DerivedGeometry):
         for k, dbab in enumerate(geo.d_frame(bhat[..., a, b, :])):
             ca, cb = conn[k][a], conn[k][b]
             w = geo.frame.normal_part(dbab)
-            s = ca[0][..., None] * bhat[..., 0, b, :] + ca[1][..., None] * bhat[..., 1, b, :]
+            s = ca[0][..., None] * bhat[..., 0, b, :]
+            s += ca[1][..., None] * bhat[..., 1, b, :]
             w -= s
             if a != b:
-                s = cb[0][..., None] * bhat[..., a, 0, :] + cb[1][..., None] * bhat[..., a, 1, :]
+                np.multiply(cb[0][..., None], bhat[..., a, 0, :], out=s)
+                s += cb[1][..., None] * bhat[..., a, 1, :]
             w -= s
-            full_h2 = full_h2 + count * dot(w, w)
-        del w, s  # freed before the next slice's derivative pair
+            full_h2 += count * dot(w, w)
+            del dbab, w, s  # freed before the next projection and the next slice's pair
     return full_h2, normal_gradient_H_squared(geo)
 
 
@@ -444,21 +448,24 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     geo.check_legendrian(what="gradient_norm_decomposition")
     full_h2, full_H2 = geo.full_gradient_norms
     conn, h, hcomp = geo.connection, geo.data.h, geo.data.Hcomp
-    tangential_h2 = np.zeros_like(full_h2)
     tangential_H2 = np.zeros_like(full_H2)
-    for k, (dH, dh) in enumerate(zip(geo.d_frame(hcomp), geo.d_frame(h[..., :2, :, :]))):
+    for k, dH in enumerate(geo.d_frame(hcomp)):
         c = conn[k]
         for b in range(2):
-            Hk = dH[..., b] - (c[b][0] * hcomp[..., 0] + c[b][1] * hcomp[..., 1]
-                               + c[b][2] * hcomp[..., 2])
-            tangential_H2 = tangential_H2 + Hk**2
+            tangential_H2 += (dH[..., b] - (c[b][0] * hcomp[..., 0] + c[b][1] * hcomp[..., 1]
+                                            + c[b][2] * hcomp[..., 2]))**2
+    del dH  # freed before the pair of h
+    tangential_h2 = np.zeros_like(full_h2)
+    for k, dh in enumerate(geo.d_frame(h[..., :2, :, :])):
+        c = conn[k]
+        for b in range(2):
             for i, j, count in _SYMMETRIC_PAIRS:
                 habk = (dh[..., b, i, j]
                         - (c[b][0] * h[..., 0, i, j] + c[b][1] * h[..., 1, i, j]
                            + c[b][2] * h[..., 2, i, j])
                         - (c[i][0] * h[..., b, 0, j] + c[i][1] * h[..., b, 1, j])
                         - (c[j][0] * h[..., b, i, 0] + c[j][1] * h[..., b, i, 1]))
-                tangential_h2 = tangential_h2 + count * habk**2
+                tangential_h2 += count * habk**2
 
     return GradientNorms(
         full_h2=full_h2,

@@ -63,6 +63,6 @@ def flowed_geo():
                                                 (start.d(f, 0), start.d(f, 1)))
     tau = 1e-3 / np.max(contact.norm(v))
     geo = grid_ops.derived_geometry(
-        immersions.GridSurface(contact.normalize(start.jet.value + tau * v), start.scheme))
+        immersions.GridSurface(contact.normalize(start.frame.p + tau * v), start.scheme))
     assert not geo.frame.legendrian
     return geo

@@ -180,6 +180,19 @@ def test_flow_failure_still_writes_reports(tmp_path):
     assert rep["converged"] is False
 
 
+def test_flow_whose_start_is_not_a_graph_still_writes_its_report(tmp_path, capsys):
+    """Spectral N=16 at epsilon 0.3, seed 0: the start is refused, the report says why."""
+    code = run_cli(["flow", "--epsilon", "0.3", "--grid", "16", "--seed", "0",
+                    "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: h is not a Legendrian graph" in capsys.readouterr().err
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["converged"] is False
+    assert rep["start_error"].startswith("h is not a Legendrian graph")
+    assert (rep["command"], rep["grid"], rep["epsilon"]) == ("flow", 16, 0.3)
+    assert not (tmp_path / "flow.csv").exists()
+
+
 def test_fd4_16_flow_stops_under_resolved_with_every_step_written(tmp_path):
     out = tmp_path / "f16"
     code = run_cli(["flow", "--epsilon", "0.02", "--grid", "16", "--scheme", "fd4",

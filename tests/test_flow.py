@@ -29,7 +29,7 @@ def _variation_field(geo, f):
 def test_variation_field_constant_gives_pure_reeb(geometry_cache):
     geo = geometry_cache("torus", 16, "spectral")
     v = _variation_field(geo, 0.7 * np.ones((16, 16)))
-    assert np.max(contact.norm(v - 0.7 * contact.reeb(geo.jet.value))) < 1e-12
+    assert np.max(contact.norm(v - 0.7 * contact.reeb(geo.frame.p))) < 1e-12
 
 
 def test_variation_field_alpha_component_equals_potential(geometry_cache):
@@ -37,7 +37,7 @@ def test_variation_field_alpha_component_equals_potential(geometry_cache):
     uu, vv = grids.grid_nodes(32)
     f = 0.3 * np.cos(uu) + 0.2 * np.sin(2 * vv)
     v = _variation_field(geo, f)
-    alpha_v = contact.contact_form(geo.jet.value, v, check=False)
+    alpha_v = contact.contact_form(geo.frame.p, v, check=False)
     assert np.max(np.abs(alpha_v - f)) < 1e-10
 
 
@@ -52,7 +52,7 @@ def test_variation_drift_quadratic_in_step(geometry_cache):
     taus = (1e-2, 5e-3, 2.5e-3)
     drifts = []
     for tau in taus:
-        moved = contact.normalize(geo.jet.value + tau * v)
+        moved = contact.normalize(geo.frame.p + tau * v)
         jet = immersions.GridSurface(positions=moved, scheme="spectral").jets()
         drifts.append(max(float(np.max(np.abs(a)))
                           for a in extrinsic.legendrian_residual(jet.value, jet.du, jet.dv)))
@@ -91,7 +91,7 @@ def test_first_variation_rejects_large_eps(geometry_cache):
 def test_second_variation_spectrum_of_flat_torus(geometry_cache):
     """The area Hessian on potentials e^{i(mu+nv)} is Q = lambda(lambda-6)/4."""
     geo = geometry_cache("torus", 32, "spectral")
-    base = geo.jet.value
+    base = geo.frame.p
     uu, vv = grids.grid_nodes(32)
     eps = 2e-3
     for (m, n) in ((1, 0), (1, -1), (2, 0), (2, -1), (3, 0)):
@@ -396,8 +396,10 @@ def test_spectral_32_flow_differentiates_each_accepted_surface_once(monkeypatch)
     assert sum(nbytes) <= 18.0e6
     # the final trial's first derivatives, taken for its area, are the geometry's
     state, geo = result.state, result.geometry
-    assert geo.jet.du is state.surface.first_derivatives[0]
-    assert geo.jet.dv is state.surface.first_derivatives[1]
+    assert geo.surface is state.surface
+    assert geo.frame.p is state.surface.positions
+    jet, (du, dv) = state.surface.jets(), state.surface.first_derivatives
+    assert jet.du is du and jet.dv is dv
 
 
 # ---------------------------------------------------------------------------

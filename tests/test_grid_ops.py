@@ -179,7 +179,7 @@ def test_normal_laplacian_output_is_normal_and_refines(geometry_cache):
 def test_normal_laplacian_rejects_tangent_field(geometry_cache):
     geo = geometry_cache("torus", 16, "spectral")
     with pytest.raises(ValueError):
-        grid_ops.normal_laplacian(geo.jet.du, geo)
+        grid_ops.normal_laplacian(geo.surface.first_derivatives[0], geo)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +371,7 @@ def test_omega_commutation_refines(geometry_cache):
 
 def test_omega_commutation_rejects_bad_input(geometry_cache):
     geo = geometry_cache("torus", 16, "spectral")
-    reeb_field = contact.reeb(geo.jet.value)  # normal but not in ker alpha
+    reeb_field = contact.reeb(geo.frame.p)  # normal but not in ker alpha
     with pytest.raises(ValueError):
         grid_ops.omega_commutation_residual(reeb_field, geo)
 

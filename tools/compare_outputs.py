@@ -42,9 +42,12 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # div_JH's JH tangency guard (exit 1; its report names residual_pack_error
 # in failed), so losing the guard is an exit-code difference; a spectral
 # N=16 verify at epsilon 0.3, which trips the same guard on seed 1 and
-# fails seven _res_N floors on seed 0; and the fd4 N=16 verify of the CLI tests,
+# fails seven _res_N floors on seed 0; the fd4 N=16 verify of the CLI tests,
 # whose weitzenbock_order (3.61) sits closest to the fd4 _MIN_ORDER gate
-# of 3.5, so a change that moves the fd4 orders shows there first
+# of 3.5, so a change that moves the fd4 orders shows there first; and a
+# spectral N=16 flow at epsilon 0.3, whose seed-0 start is not a graph on
+# the grid (exit 1; its report holds start_error and no flow.csv is
+# written), while seeds 1 and 2 start and stop
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -58,6 +61,7 @@ EXTRA_OPS = (
     ("verify", ("--epsilon", "0.02", "--grid", "8", "--scheme", "fd2")),
     ("verify", ("--epsilon", "0.3", "--grid", "16")),
     ("verify", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
+    ("flow", ("--epsilon", "0.3", "--grid", "16")),
 )
 CHILD = CHILD_IMPORT + """
 from legendrian_lab.cli import main

@@ -8,10 +8,14 @@ only), a child interpreter per tree imports the library from
 of the gradient norms), `extrinsic.pointwise_identity_residuals` (the h^3
 and symmetry checks) and every transform of `numpy.fft` (one `numpy.fft`
 counter for all of them) with counters, and runs the op
-once through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set
-to 1.  One line per op gives each count as `first -> second`; the counts
-are deterministic, so a single run per tree is enough.  Exits 0, 2 on a
-usage error, or 3 when a child imports the library from another tree.
+through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set to 1:
+once to fill the caches the op reads (differentiation matrices, node
+tables), then once counted and under `tracemalloc`, whose peak
+(`traced_peak_bytes`, the most memory the op's Python and numpy
+allocations held at once) repeats to about 100 bytes.  One line per op
+gives each count as `first -> second`; the counts are deterministic, so
+one counted run per tree is enough.  Exits 0, 2 on a usage error, or 3
+when a child imports the library from another tree.
 
     python3 tools/kernel_counts.py ../leglab-parent . [--seed 0] [--json counts.json]
 
@@ -30,8 +34,9 @@ from source_trees import CHILD_IMPORT, child_env, library_sources, load_workload
 
 COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals",
             "gradient_norm_decomposition", "pointwise_identity_residuals", "numpy.fft")
+KEYS = ("exit", *COUNTERS, "traced_peak_bytes")  # one row per op
 CHILD = CHILD_IMPORT + """
-import json, tempfile
+import json, tempfile, tracemalloc
 import numpy.fft
 from legendrian_lab import cli, extrinsic, grid_ops, grids
 
@@ -55,10 +60,14 @@ for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
     counted(numpy.fft, name, "numpy.fft")
 rows = []
 for argv in json.loads(sys.argv[2]):
-    counts.update(dict.fromkeys(counts, 0))
     with tempfile.TemporaryDirectory() as out:
+        cli.main(argv + ["--out", out])
+        counts.update(dict.fromkeys(counts, 0))
+        tracemalloc.start()
         code = cli.main(argv + ["--out", out])
-    rows.append({"exit": code, **counts})
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    rows.append({"exit": code, **counts, "traced_peak_bytes": peak})
 print(json.dumps(rows))
 """
 
@@ -92,9 +101,9 @@ def main(argv=None):
         for (kind, op_args), a, b in zip(ops, first, second):
             label = workloads.op_label(kind, op_args)
             result[name][label] = {key: {"first": a[key], "second": b[key]}
-                                   for key in ("exit", *COUNTERS)}
+                                   for key in KEYS}
             print(f"  {label}: " + "; ".join(f"{key} {a[key]} -> {b[key]}"
-                                             for key in ("exit", *COUNTERS)))
+                                             for key in KEYS))
     if args.json:
         args.json.write_text(json.dumps(result, indent=1) + "\n")
     return 0
