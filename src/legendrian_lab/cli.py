@@ -86,6 +86,8 @@ def _validate(args):
         _usage_error("--max-steps must be at least 1")
     if args.command == "flow" and args.surface != "legendrian-torus":
         _usage_error("flow runs on the legendrian-torus family only")
+    if args.command == "integrals" and not all(immersions.catalog(args.surface).periodic):
+        _usage_error(f"integrals needs a doubly periodic surface: {args.surface} is not a torus")
     try:  # before any work, so an unusable --out costs nothing
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -149,7 +151,7 @@ def _pointwise_suite(args, rep, failures):
     k_dev = float(np.max(np.abs(data.K - k_exp)))
     h_max = float(np.max(np.sqrt(data.H2)))
     leg_res = float(np.max(frame.legendrian_residual))
-    orth = frame.orthonormality_residual(jet.value)
+    orth = frame.orthonormality_residual()
 
     _record(rep, failures, "S_max_dev", s_dev, s_dev <= 1e-9)
     _record(rep, failures, "K_max_dev", k_dev, k_dev <= 1e-9)
@@ -221,7 +223,7 @@ def _grid_suite(args, rep, failures):
         _record(rep, failures, "gauss_consistency_ok", kdev,
                 kdev <= max(1e-8, 100.0 * args.grid ** -2.0))
         return
-    rep.set("frame_orthonormality_N", geo.frame.orthonormality_residual(geo.frame.p))
+    rep.set("frame_orthonormality_N", geo.frame.orthonormality_residual())
     x_max = float(np.max(np.abs(geo.frame.p)))
     try:
         r1 = _residual_pack(geo)

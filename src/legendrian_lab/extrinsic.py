@@ -16,10 +16,10 @@ reads.  Only a Legendrian frame has a normal frame, the paper's
 S, H^2, rho^2 and K are frame-free.  Everything broadcasts over leading
 batch axes.
 
-The metric, the Legendrian residual, H and B are built eagerly (every reader
+The metric, the Legendrian residual, B and H are built eagerly (every reader
 of a geometry reads B, through S or K), so no second derivative outlives the
-build; h, S, rho^2, K and det_sum on first read.  H goes through no normal
-frame: it is the normal part of (1/2) (c^T c)_ij d_ij x, B's trace in the frame's contraction.
+build; h, S, rho^2, K and det_sum on first read.  H = (1/2) (Bhat_11 + Bhat_22),
+half B's trace in flat indices, takes no normal frame and no projection of its own.
 """
 
 from __future__ import annotations
@@ -71,12 +71,12 @@ class AdaptedFrame:
             w -= dot(w, e)[..., None] * e
         return w
 
-    def orthonormality_residual(self, p):
+    def orthonormality_residual(self):
         """Max |<a, b> - delta_ab| and |<a, p>| over E1, E2 and any normal frame."""
         vecs = [self.E1, self.E2, *(self.normals() if self.legendrian else ())]
         worst = 0.0
         for i, a in enumerate(vecs):
-            worst = max(worst, float(np.max(np.abs(dot(a, p)))))
+            worst = max(worst, float(np.max(np.abs(dot(a, self.p)))))
             for k, b in enumerate(vecs):
                 g = dot(a, b) - (1.0 if i == k else 0.0)
                 worst = max(worst, float(np.max(np.abs(g))))
@@ -155,13 +155,13 @@ def check_induced_metric(det):
 
 
 def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
-    """Metric, H = (1/2) P_nu(sum_ij (c^T c)_ij d_ij x) and Bhat; the rest on first read.
+    """Metric, Bhat and H = (1/2) tr Bhat; the rest on first read.
 
-    P_nu is frame.normal_part, so no normal frame is built.  c^T c is the
-    inverse metric of the tangential parts of d_i x, the contraction Bhat
-    uses, so H is (1/2) tr Bhat to roundoff; ginv, from the raw jets,
-    differs from it by the O(scheme) radial part of FD jets.  Bhat is
-    summed one coordinate B_ij at a time, so the build holds one B_ij.
+    B_ij = P_nu(d_ij x + g_ij p), P_nu = frame.normal_part, so no normal
+    frame is built.  Bhat_ab = c_ai c_bj B_ij is summed one coordinate B_ij
+    at a time, so the build holds one B_ij.  ginv, from the raw jets,
+    differs from the inverse metric c^T c of the tangential parts of d_i x
+    by the O(scheme) radial part of FD jets.
     """
     E, F, G, det = first_fundamental_form(jet.du, jet.dv)
     check_induced_metric(det)
@@ -170,9 +170,6 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
     ginv /= det[..., None, None]
 
     c, p = frame.coeff, jet.value
-    Hvec = 0.5 * frame.normal_part(sum(
-        (c[..., 0, i] * c[..., 0, j] + c[..., 1, i] * c[..., 1, j])[..., None] * d2
-        for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 0, jet.duv), (1, 1, jet.dvv))))
     # Bhat_ab = sum_ij (c_ai c_bj) B_ij, each sum in (i, j) order; B_10 = B_01
     Bhat = np.zeros(p.shape[:-1] + (2, 2, 6))
     for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv)):
@@ -180,6 +177,7 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
         for k, m in dict.fromkeys([(i, j), (j, i)]):
             for a, b in np.ndindex(2, 2):
                 Bhat[..., a, b, :] += (c[..., a, k] * c[..., b, m])[..., None] * bij
+    Hvec = 0.5 * (Bhat[..., 0, 0, :] + Bhat[..., 1, 1, :])
     return ExtrinsicData(g, ginv, np.sqrt(det), Hvec, Bhat, frame)
 
 
@@ -190,19 +188,17 @@ class IdentityResiduals:
     h3_max: float | None      # None for non-Legendrian frames, which have no h
     sym3_max: float | None    # None for non-Legendrian frames
     gauss_identity_max: float
-    det_sum: np.ndarray | None  # det h^1 + det h^2, per point; None likewise
 
 
 def pointwise_identity_residuals(data: ExtrinsicData) -> IdentityResiduals:
     """Gauss-identity residual; on a Legendrian frame also Reeb-component and symmetry.
 
     On a Legendrian frame h^3 = 0 and h^c_ab = h^a_cb = h^b_ac, whose
-    (a, b) swap is the symmetry of B.  det_sum is data.det_sum, which the
-    integrated Simons identity reads directly.
+    (a, b) swap is the symmetry of B.
     """
     gauss = float(np.max(np.abs(2.0 * data.K - 2.0 - 4.0 * data.H2 + data.S)))
     if not data.frame.legendrian:
-        return IdentityResiduals(None, None, gauss, None)
+        return IdentityResiduals(None, None, gauss)
     h = data.h
     h3_max = float(np.max(np.abs(h[..., 2, :, :])))
     t = h[..., :2, :, :]  # t[c, a, b] = h^c_ab for c in {1, 2}
@@ -211,5 +207,4 @@ def pointwise_identity_residuals(data: ExtrinsicData) -> IdentityResiduals:
         axes = tuple(-3 + perm.index(k) for k in range(3))
         tp = np.moveaxis(t, (-3, -2, -1), axes)
         sym3 = max(sym3, float(np.max(np.abs(tp - t))))
-    return IdentityResiduals(h3_max=h3_max, sym3_max=sym3, gauss_identity_max=gauss,
-                             det_sum=data.det_sum)
+    return IdentityResiduals(h3_max=h3_max, sym3_max=sym3, gauss_identity_max=gauss)

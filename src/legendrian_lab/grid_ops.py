@@ -363,7 +363,7 @@ def mean_curvature_form_closedness(geo: DerivedGeometry):
 class GradientNorms:
     """Squared covariant-derivative norms and decomposition residuals.
 
-    full_h2 and full_H2 differentiate vector-valued tensors and project
+    full_h2 and full_H2 differentiate the slices of Bhat and project
     (frame-free); tangential_h2 and tangential_H2 are assembled from frame
     components with the one connection table of _frame_connection, which
     serves the tangent and the normal frame alike.  The two identities
@@ -392,20 +392,6 @@ class GradientNorms:
         return float(np.min(self.li_margin))
 
 
-def normal_gradient_H_squared(geo: DerivedGeometry):
-    """|nabla^nu H|^2 by differentiating the vector field and projecting.
-
-    Frame-free (projector-based): it reads the tangents and the normal
-    projector only, never the normal frame.  The sphere connection's
-    p-term is left out, as the projection removes it again.
-    """
-    out = np.zeros((geo.n, geo.n))
-    for dh in geo.d_frame(geo.data.Hvec):
-        w = geo.frame.normal_part(dh)
-        out += dot(w, w)
-    return out
-
-
 def _frame_connection(geo: DerivedGeometry):
     """c[k][a][b] = <D_k E_a, F_b> for F = (E1, E2, p), as nested lists of (N, N) fields.
 
@@ -419,18 +405,31 @@ def _frame_connection(geo: DerivedGeometry):
     return [[rows[a][k] for a in range(2)] for k in range(2)]
 
 
-# Bhat and h are symmetric in their tangent indices: sums take (0, 1) once, counted twice
-_SYMMETRIC_PAIRS = ((0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0))
+# Bhat and h are symmetric in their tangent indices: sums take (0, 1) once, counted twice;
+# _full_gradient_norms needs (0, 0) before (1, 1), and holds the least with them adjacent
+_SYMMETRIC_PAIRS = ((0, 0, 1.0), (1, 1, 1.0), (0, 1, 2.0))
 
 
 def _full_gradient_norms(geo: DerivedGeometry):
-    """Frame-free |nabla B|^2 (vector route; for a = b its two sums are one) and |nabla^nu H|^2."""
+    """Frame-free |nabla B|^2 and |nabla^nu H|^2 from one derivative pair per Bhat slice.
+
+    For a = b the two connection sums of nabla_k Bhat_ab are one.  As H = (1/2) tr Bhat and
+    P is linear, nabla^nu_k H = (1/2) (P(D_k Bhat_11) + P(D_k Bhat_22)): the diagonal slices
+    come first, and each derivative is dropped once projected, which makes room for the traces.
+    """
     bhat, conn = geo.data.Bhat, geo.connection
-    full_h2 = np.zeros((geo.n, geo.n))
+    full_h2, full_H2 = np.zeros((geo.n, geo.n)), np.zeros((geo.n, geo.n))
+    traces = []  # P(D_k Bhat_11), k = 0, 1, each until P(D_k Bhat_22) is added
     for a, b, count in _SYMMETRIC_PAIRS:
-        for k, dbab in enumerate(geo.d_frame(bhat[..., a, b, :])):
+        pair = list(geo.d_frame(bhat[..., a, b, :]))
+        for k in range(2):
             ca, cb = conn[k][a], conn[k][b]
-            w = geo.frame.normal_part(dbab)
+            w, pair[k] = geo.frame.normal_part(pair[k]), None
+            if a == b == 0:
+                traces.append(w.copy())
+            elif a == b:
+                trace = traces.pop(0) + w  # 2 nabla^nu_k H
+                full_H2 += 0.25 * dot(trace, trace)
             s = ca[0][..., None] * bhat[..., 0, b, :]
             s += ca[1][..., None] * bhat[..., 1, b, :]
             w -= s
@@ -439,8 +438,8 @@ def _full_gradient_norms(geo: DerivedGeometry):
                 s += cb[1][..., None] * bhat[..., a, 1, :]
             w -= s
             full_h2 += count * dot(w, w)
-            del dbab, w, s  # freed before the next projection and the next slice's pair
-    return full_h2, normal_gradient_H_squared(geo)
+            del w, s  # freed before the next projection and the next slice's pair
+    return full_h2, full_H2
 
 
 def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
@@ -449,16 +448,13 @@ def gradient_norm_decomposition(geo: DerivedGeometry) -> GradientNorms:
     full_h2, full_H2 = geo.full_gradient_norms
     conn, h, hcomp = geo.connection, geo.data.h, geo.data.Hcomp
     tangential_H2 = np.zeros_like(full_H2)
-    for k, dH in enumerate(geo.d_frame(hcomp)):
-        c = conn[k]
-        for b in range(2):
-            tangential_H2 += (dH[..., b] - (c[b][0] * hcomp[..., 0] + c[b][1] * hcomp[..., 1]
-                                            + c[b][2] * hcomp[..., 2]))**2
-    del dH  # freed before the pair of h
     tangential_h2 = np.zeros_like(full_h2)
     for k, dh in enumerate(geo.d_frame(h[..., :2, :, :])):
         c = conn[k]
-        for b in range(2):
+        for b in range(2):  # D_k H^b = (1/2) tr D_k h^b: H^b is linear in h^b
+            tangential_H2 += (0.5 * (dh[..., b, 0, 0] + dh[..., b, 1, 1])
+                              - (c[b][0] * hcomp[..., 0] + c[b][1] * hcomp[..., 1]
+                                 + c[b][2] * hcomp[..., 2]))**2
             for i, j, count in _SYMMETRIC_PAIRS:
                 habk = (dh[..., b, i, j]
                         - (c[b][0] * h[..., 0, i, j] + c[b][1] * h[..., 1, i, j]

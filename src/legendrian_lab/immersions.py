@@ -431,7 +431,7 @@ def variation_field_on_positions(surface: GridSurface, f, df):
 def expm(a):
     """Matrix exponential: scaling and squaring of a degree-18 Taylor polynomial."""
     squarings = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]) + 1)
-    x = a / 2.0**squarings  # 1-norm <= 1/2: the series tail is below 1e-22
+    x = np.ldexp(a, -squarings)  # 1-norm <= 1/2: the series tail is below 1e-22
     out = eye = np.eye(len(a))
     for k in range(18, 0, -1):  # Horner: I + x (I + x/2 (I + ...))
         out = eye + x @ out / k
@@ -489,8 +489,8 @@ def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
     projection of a linear symplectic flow is a contactomorphism (Geiges,
     An Introduction to Contact Topology, 2008).  So the flow is
     q -> E q / |E q| with E = exp(J0 M): every resolution samples the same
-    Legendrian surface up to roundoff.  See random_contact_hamiltonian for
-    the stable/generic distinction.
+    Legendrian surface up to roundoff (an E that overflows is a ValueError).
+    See random_contact_hamiltonian for the stable/generic distinction.
 
     The stable E is block diagonal, a 2x2 block A_k on each z_k, so the
     image is the LegendrianGraph whose node (u, v) is the image of the
@@ -503,8 +503,11 @@ def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
         if mode == "stable":
             return LegendrianGraph(np.full((n, n), theta), scheme)
         return resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
-    m = random_contact_hamiltonian(eps, seed=seed, mode=mode)
-    e = expm(contact.j_apply(m.T).T)  # exp(J0 M), J0 applied column by column
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        m = random_contact_hamiltonian(eps, seed=seed, mode=mode)
+        e = expm(contact.j_apply(m.T).T)  # exp(J0 M), J0 applied column by column
+    if not np.all(np.isfinite(e)):
+        raise ValueError(f"exp(J0 M) of the contact Hamiltonian of max |f| = {eps:.3e} overflows")
     if mode == "stable":
         a1, a2, a3 = (e[2 * k:2 * k + 2, 2 * k:2 * k + 2] for k in range(3))
         uu, vv = grids.grid_nodes(n)

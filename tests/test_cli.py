@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -255,6 +256,41 @@ def test_usage_errors_exit_2_without_reports(argv, message, tmp_path, capsys):
     assert err.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("surface", ["equatorial-legendrian-sphere", "veronese-s4"])
+def test_integrals_on_a_surface_that_is_not_doubly_periodic_is_a_usage_error(surface, tmp_path,
+                                                                            capsys):
+    """Grid operators need a torus; verify runs its pointwise suite on these surfaces instead."""
+    with pytest.raises(SystemExit) as err:
+        run_cli(["integrals", "--surface", surface, "--grid", "32", "--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: integrals needs a doubly periodic surface: {surface} is not a torus\n")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, epsilon", [
+    ("verify", "1e308"), ("integrals", "1e200"), ("flow", "1e308"),
+])
+def test_an_overflowing_epsilon_is_one_error_line(command, epsilon, tmp_path, capsys):
+    """A finite --epsilon whose Hamiltonian or exponential overflows: no traceback, no warning.
+
+    The flow still writes its report, with the refusal as start_error.
+    """
+    message = f"exp(J0 M) of the contact Hamiltonian of max |f| = {float(epsilon):.3e} overflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a float warning fails the test
+        code = run_cli([command, "--epsilon", epsilon, "--grid", "16", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    if command == "flow":
+        rep = json.loads((tmp_path / "report.json").read_text())
+        assert rep["converged"] is False and rep["start_error"].startswith(message)
+        assert not (tmp_path / "flow.csv").exists()
+    else:
+        assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "integrals", "flow"])

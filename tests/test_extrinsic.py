@@ -20,11 +20,11 @@ def _point_data(name, n=200, seed=0, theta=0.0):
 def test_frame_flags_and_orthonormality():
     jet, frame, _ = _point_data("legendrian_torus")
     assert frame.legendrian
-    assert frame.orthonormality_residual(jet.value) < 1e-12
+    assert frame.orthonormality_residual() < 1e-12
     assert np.max(contact.norm(frame.normals()[2] - contact.reeb(jet.value))) < 1e-12
     jet, frame, _ = _point_data("clifford_s3")
     assert not frame.legendrian
-    assert frame.orthonormality_residual(jet.value) < 1e-12
+    assert frame.orthonormality_residual() < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -66,7 +66,7 @@ def test_identity_residuals_torus():
     assert ident.h3_max < 1e-9
     assert ident.sym3_max < 1e-9
     assert ident.gauss_identity_max < 1e-10
-    assert np.max(np.abs(ident.det_sum + 1.0)) < 1e-9  # = -S/2 on the flat torus
+    assert np.max(np.abs(data.det_sum + 1.0)) < 1e-9  # = -S/2 on the flat torus
 
 
 def test_identity_residuals_equatorial_sphere():
@@ -74,14 +74,16 @@ def test_identity_residuals_equatorial_sphere():
     ident = extrinsic.pointwise_identity_residuals(data)
     assert ident.h3_max < 1e-10
     assert ident.sym3_max < 1e-10
-    assert np.max(np.abs(ident.det_sum)) < 1e-10
+    assert np.max(np.abs(data.det_sum)) < 1e-10
 
 
 def test_identity_residuals_clifford_generic_frame():
     """Off a Legendrian frame only the frame-free Gauss identity is evaluated."""
     _, _, data = _point_data("clifford_s3")
     ident = extrinsic.pointwise_identity_residuals(data)
-    assert ident.h3_max is None and ident.sym3_max is None and ident.det_sum is None
+    assert ident.h3_max is None and ident.sym3_max is None
+    with pytest.raises(ValueError, match="requires a Legendrian frame"):
+        data.det_sum
     assert ident.gauss_identity_max <= 1e-10
 
 
@@ -95,7 +97,9 @@ def test_non_legendrian_frames_have_no_normal_frame(name):
     with pytest.raises(ValueError, match="requires a Legendrian frame"):
         data.h
     ident = extrinsic.pointwise_identity_residuals(data)
-    assert (ident.h3_max, ident.sym3_max, ident.det_sum) == (None, None, None)
+    assert (ident.h3_max, ident.sym3_max) == (None, None)
+    with pytest.raises(ValueError, match="requires a Legendrian frame"):
+        data.det_sum
     assert ident.gauss_identity_max <= 1e-10
 
 

@@ -474,10 +474,9 @@ def test_integral_report_takes_normal_gradient_of_H_once(monkeypatch):
     geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=32, scheme="spectral",
                                                                seed=0, mode="generic"))
     assert geo.frame.legendrian
-    calls = []
-    inner = grid_ops.normal_gradient_H_squared
-    monkeypatch.setattr(grid_ops, "normal_gradient_H_squared",
-                        lambda g: calls.append(1) or inner(g))
+    calls = []  # nabla^nu H is taken by the frame-free route only
+    inner = grid_ops._full_gradient_norms
+    monkeypatch.setattr(grid_ops, "_full_gradient_norms", lambda g: calls.append(1) or inner(g))
     rep = grid_ops.integral_report(geo)
     assert len(calls) == 1
     assert rep["E"] is not None and rep["Sigma_Simons"] is not None

@@ -1,13 +1,14 @@
 """The closed-form geometry kernels against the formulas they replace.
 
-The explicit 2x2 sums for Bhat, h and the Christoffel symbols must give
-the same bits as the general contractions, not merely close values.  The
-same holds for the scalar operators and the Hamiltonian basis matrices
-rewritten without changing their arithmetic, for a derivative of a
-strided field against that of its contiguous copy, and for one real 2-D
-filter by several multipliers against one filter per multiplier.  The frame-free H,
-S = |Bhat|^2, the real FFT derivative, the real 2-D Fourier filter, the
-frame-index sums of gradient_norm_decomposition and
+The explicit 2x2 sums for Bhat, h and the Christoffel symbols, and
+H = (1/2) tr Bhat, must give the same bits as the general contractions,
+not merely close values.  The same holds for the scalar operators and the
+Hamiltonian basis matrices rewritten without changing their arithmetic,
+for a derivative of a strided field against that of its contiguous copy,
+and for one real 2-D filter by several multipliers against one filter per
+multiplier.  H against the normal-frame sum, S = |Bhat|^2, the real FFT
+derivative, the real 2-D Fourier filter, the half trace of nabla h against
+the derivative of Hcomp, the frame-index sums of gradient_norm_decomposition and
 oneform_rough_laplacian written out term by term, the Brioschi curvature
 read off the cached metric derivatives, and the connection Laplacians
 that project once after contracting change the arithmetic on purpose;
@@ -149,6 +150,7 @@ def _reference_gradient_norm_decomposition(geo):
 
     Every (a, b) slice of Bhat is differentiated, and every vector
     derivative takes the sphere connection's p-term before its projection.
+    nabla H is half the trace of nabla Bhat (full) or of nabla h (tangential).
     """
     p = geo.frame.p
     e = (geo.frame.E1, geo.frame.E2)
@@ -165,23 +167,24 @@ def _reference_gradient_norm_decomposition(geo):
             for g in range(3):
                 sigma[..., k, b, g] = dot(dn, normals[g])
     full_h2 = np.zeros(p.shape[:-1])
+    nabla_H = [0.0, 0.0]
     for a in range(2):
         for b in range(2):
             bab = bhat[..., a, b, :]
             for k, dbab in enumerate(geo.d_frame(bab)):
                 w = geo.frame.normal_part(contact.sphere_connection(p, bab, dbab, e[k]))
+                if a == b:
+                    nabla_H[k] = nabla_H[k] + 0.5 * w
                 w = w - sum(omega[..., k, a, l, None] * bhat[..., l, b, :] for l in range(2))
                 w = w - sum(omega[..., k, b, l, None] * bhat[..., a, l, :] for l in range(2))
                 full_h2 = full_h2 + dot(w, w)
-    full_H2 = np.zeros(p.shape[:-1])
-    for k, dh in enumerate(geo.d_frame(geo.data.Hvec)):
-        w = geo.frame.normal_part(contact.sphere_connection(p, geo.data.Hvec, dh, e[k]))
-        full_H2 = full_H2 + dot(w, w)
+    full_H2 = dot(nabla_H[0], nabla_H[0]) + dot(nabla_H[1], nabla_H[1])
     h, hcomp = geo.data.h, geo.data.Hcomp
     tangential_h2 = np.zeros_like(full_h2)
     tangential_H2 = np.zeros_like(full_H2)
-    for k, (dH, dh) in enumerate(zip(geo.d_frame(hcomp), geo.d_frame(h[..., :2, :, :]))):
-        Hk = dH - np.einsum("...bg,...g->...b", sigma[..., k, :, :], hcomp)
+    for k, dh in enumerate(geo.d_frame(h[..., :2, :, :])):
+        dH = 0.5 * np.einsum("...bii->...b", dh)  # D_k H^b = (1/2) tr D_k h^b
+        Hk = dH - np.einsum("...bg,...g->...b", sigma[..., k, :2, :], hcomp)
         tangential_H2 = tangential_H2 + Hk[..., 0] ** 2 + Hk[..., 1] ** 2
         for b in range(2):
             habk = (
@@ -226,15 +229,14 @@ def _reference_pair_quadratic(i, j, kind):
 
 
 def _assert_extrinsic_identical(jet, frame, frame_sums=True):
-    """Bhat (and h on a Legendrian frame) bit for bit; Hvec, S and H2 within 8 ulp.
+    """Bhat, Hvec = (1/2) tr Bhat (and h on a Legendrian frame) bit for bit; S and H2 within 8 ulp.
 
-    Hvec is the normal part of (1/2) (c^T c)_ij d_ij x, S = |Bhat|^2 and
-    H2 = |Hvec|^2; they are held to (1/2) tr Bhat, |Bhat|^2 and |(1/2) tr Bhat|^2
-    of the reference Bhat, at 8 ulp of max|Bhat| (Hvec) or max S (S, H2).
-    With frame_sums, on a Legendrian frame, the frame-sum references of
-    _reference_extrinsic are held to the same bound; that needs a frame
-    normal to roundoff, which the fd4 Legendrian frame is not (off normal
-    by O(h^4), 1.2e-5 at N=32).
+    S = |Bhat|^2 and H2 = |Hvec|^2 are held to |Bhat|^2 and |(1/2) tr Bhat|^2
+    of the reference Bhat at 8 ulp of max S.  With frame_sums, on a Legendrian
+    frame, Hvec, S and H2 are also held to the frame-sum references of
+    _reference_extrinsic, at 8 ulp of max|Bhat| (Hvec) or max S (S, H2); that
+    needs a frame normal to roundoff, which the fd4 Legendrian frame is not
+    (off normal by O(h^4), 1.2e-5 at N=32).
     """
     data = extrinsic.extrinsic_data(jet, frame)
     ref = _reference_extrinsic(jet, frame)
@@ -243,6 +245,7 @@ def _assert_extrinsic_identical(jet, frame, frame_sums=True):
         assert np.array_equal(data.h, ref["h"])
     bhat = ref["Bhat"]
     hvec = 0.5 * (bhat[..., 0, 0, :] + bhat[..., 1, 1, :])
+    assert np.array_equal(data.Hvec, hvec)
     free = {"Hvec": hvec, "S": np.einsum("...abk,...abk->...", bhat, bhat), "H2": dot(hvec, hvec)}
     ulp = 8 * np.finfo(float).eps
     bounds = {"Hvec": ulp * np.max(np.abs(bhat)), "S": ulp * np.max(free["S"]),
@@ -495,7 +498,7 @@ def test_spectral_flow_transforms_each_accepted_potential_once(monkeypatch):
     The seed-0 spectral N=32 start converges in 4 preconditioned steps, so 5
     surfaces; the band split once took a transform of its own.  The
     derivatives are counted from the start's build on, as a flow op makes
-    them: 11 per step and 34 for the start and the final certificate (at 80
+    them: 11 per step and 32 for the start and the final certificate (at 80
     steps, before preconditioning, 918).  The certificate reads
     surface_integrals, so it differentiates nothing for the tangential route.
     """
@@ -506,7 +509,7 @@ def test_spectral_flow_transforms_each_accepted_potential_once(monkeypatch):
     assert result.converged and result.state.step_index == 4
     counts = {name: len(calls) for name, calls in ffts.items() if calls}
     assert counts == {"rfft2": 5, "irfft2": 10}
-    assert len(derivs) == 78
+    assert len(derivs) == 76
 
 
 def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkeypatch):
@@ -515,8 +518,9 @@ def test_gradient_norm_decomposition_differentiates_each_frame_field_once(monkey
     The normals J0 E1, J0 E2, J0 p are not differentiated: the tangents'
     connection table is the normal one.
     """
-    # 2 tangents, the 3 distinct Bhat slices, H, H's components and h^1, h^2
-    assert _calls(monkeypatch, grid_ops.gradient_norm_decomposition) == 16
+    # 2 tangents, the 3 distinct Bhat slices and h^1, h^2: H's derivatives are half
+    # the traces of Bhat's (frame-free) and of h's (frame components)
+    assert _calls(monkeypatch, grid_ops.gradient_norm_decomposition) == 12
 
 
 def test_flow_certificate_takes_neither_the_tangential_route_nor_the_identity_checks(monkeypatch):
@@ -532,35 +536,35 @@ def test_integral_report_takes_the_frame_connection_and_each_route_once(monkeypa
     """The frame-free norms and the connection table are cached on the geometry for both routes."""
     tables = _counter(monkeypatch, grid_ops, "_frame_connection")
     routes = _counter(monkeypatch, grid_ops, "gradient_norm_decomposition")
-    assert _calls(monkeypatch, grid_ops.integral_report, grid_ops,
-                  "normal_gradient_H_squared") == 1
+    assert _calls(monkeypatch, grid_ops.integral_report, grid_ops, "_full_gradient_norms") == 1
     assert (len(tables), len(routes)) == (1, 1)
 
 
 def test_residual_pack_differentiates_the_metric_once(monkeypatch):
     """The Brioschi curvature reads the metric derivatives that gamma took."""
-    assert _calls(monkeypatch, cli._residual_pack) == 53
+    assert _calls(monkeypatch, cli._residual_pack) == 49
 
 
 def test_residual_pack_projects_once_per_connection_laplacian(monkeypatch):
-    """20 normal projections per grid, 26 before the two Laplacians projected once each.
+    """18 normal projections per grid, 24 before the two Laplacians projected once each.
 
     Each connection Laplacian (normal and omega) projects its contracted
     second derivatives once instead of four times.  Bhat's three
-    projections are taken by derived_geometry, before the pack.
+    projections are taken by derived_geometry, before the pack, and
+    nabla^nu H is read off the projected derivatives of Bhat's diagonal.
     """
-    assert _calls(monkeypatch, cli._residual_pack, extrinsic.AdaptedFrame, "normal_part") == 20
+    assert _calls(monkeypatch, cli._residual_pack, extrinsic.AdaptedFrame, "normal_part") == 18
 
 
-def test_geometry_and_residual_pack_project_24_times_together(monkeypatch):
-    """One grid's total: H's and Bhat's four projections in the build, the pack's 20.
+def test_geometry_and_residual_pack_project_21_times_together(monkeypatch):
+    """One grid's total: Bhat's three projections in the build, the pack's 18.
 
-    Bhat moved from the pack into the build, which left the total unchanged.
+    H = (1/2) tr Bhat takes no projection of its own, in the build or in the pack.
     """
     calls = _counter(monkeypatch, extrinsic.AdaptedFrame, "normal_part")
     cli._residual_pack(grid_ops.derived_geometry(immersions.perturbed_torus(
         eps=0.02, n=32, scheme="spectral", seed=0, mode="generic")))
-    assert len(calls) == 24
+    assert len(calls) == 21
 
 
 @pytest.mark.parametrize("mode", ["generic", "stable"])
@@ -689,6 +693,23 @@ def test_gradient_norm_decomposition_matches_its_einsum_form(case, geometry_cach
     for key, expected in ref.items():
         err = np.max(np.abs(getattr(got, key) - expected))
         assert err <= 16 * np.spacing(scale[key]), (key, err / np.spacing(scale[key]))
+
+
+@pytest.mark.parametrize("scheme, ulp_per_n", [("fd4", 4.0), ("spectral", 16.0)])
+@pytest.mark.parametrize("n", [32, 128])
+def test_half_trace_of_nabla_h_matches_the_derivative_of_hcomp(scheme, ulp_per_n, n):
+    """(1/2) tr D_k h^b, the tangential route's D_k H^b, against d_frame of Hcomp itself.
+
+    Equal by linearity; the derivatives round differently, by at most 13 N
+    (spectral) and 2.6 N (fd4) ulp of max |D h| at N <= 128 on seeds 0-2.
+    """
+    geo = grid_ops.derived_geometry(immersions.perturbed_torus(eps=0.02, n=n, scheme=scheme,
+                                                               seed=0, mode="generic"))
+    h = geo.data.h
+    for dh, dH in zip(geo.d_frame(h[..., :2, :, :]), geo.d_frame(geo.data.Hcomp)):
+        half_trace = 0.5 * (dh[..., 0, 0] + dh[..., 1, 1])
+        assert np.max(np.abs(half_trace - dH[..., :2])) <= ulp_per_n * n * np.spacing(
+            np.max(np.abs(dh)))
 
 
 @pytest.mark.parametrize("case", ["fd4", "spectral", "flowed"])

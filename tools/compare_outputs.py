@@ -47,7 +47,12 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # of 3.5, so a change that moves the fd4 orders shows there first; and a
 # spectral N=16 flow at epsilon 0.3, whose seed-0 start is not a graph on
 # the grid (exit 1; its report holds start_error and no flow.csv is
-# written), while seeds 1 and 2 start and stop
+# written), while seeds 1 and 2 start and stop; the integrals of the
+# equatorial sphere, which is not doubly periodic, so no grid operator
+# applies (a usage error, exit 2); and a flow at epsilon 1e308, whose
+# contact Hamiltonian overflows (exit 1; its start_error names the
+# overflow).  A verify at epsilon 1e308 would show nothing here: it
+# writes no report and exits 1 whatever its error says
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -62,6 +67,8 @@ EXTRA_OPS = (
     ("verify", ("--epsilon", "0.3", "--grid", "16")),
     ("verify", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
     ("flow", ("--epsilon", "0.3", "--grid", "16")),
+    ("integrals", ("--surface", "equatorial-legendrian-sphere", "--grid", "32")),
+    ("flow", ("--epsilon", "1e308")),
 )
 CHILD = CHILD_IMPORT + """
 from legendrian_lab.cli import main

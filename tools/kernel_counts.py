@@ -10,9 +10,13 @@ and symmetry checks) and every transform of `numpy.fft` (one `numpy.fft`
 counter for all of them) with counters, and runs the op
 through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set to 1:
 once to fill the caches the op reads (differentiation matrices, node
-tables), then once counted and under `tracemalloc`, whose peak
-(`traced_peak_bytes`, the most memory the op's Python and numpy
-allocations held at once) repeats to about 100 bytes.  One line per op
+tables), then, after a full garbage collection, once counted and under
+`tracemalloc`, whose peak (`traced_peak_bytes`, the most memory the op's
+Python and numpy allocations held at once) repeats to about 100 bytes.
+Without the collection the peak also depends on where the cyclic
+collector stood after the ops run before it: between two trees it moved
+by up to 8 kB where the arrays held at the peak were the same, and by
+2 kB on an op that runs none of the code that differs.  One line per op
 gives each count as `first -> second`; the counts are deterministic, so
 one counted run per tree is enough.  Exits 0, 2 on a usage error, or 3
 when a child imports the library from another tree.
@@ -36,7 +40,7 @@ COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals",
             "gradient_norm_decomposition", "pointwise_identity_residuals", "numpy.fft")
 KEYS = ("exit", *COUNTERS, "traced_peak_bytes")  # one row per op
 CHILD = CHILD_IMPORT + """
-import json, tempfile, tracemalloc
+import gc, json, tempfile, tracemalloc
 import numpy.fft
 from legendrian_lab import cli, extrinsic, grid_ops, grids
 
@@ -63,6 +67,7 @@ for argv in json.loads(sys.argv[2]):
     with tempfile.TemporaryDirectory() as out:
         cli.main(argv + ["--out", out])
         counts.update(dict.fromkeys(counts, 0))
+        gc.collect()
         tracemalloc.start()
         code = cli.main(argv + ["--out", out])
         peak = tracemalloc.get_traced_memory()[1]
