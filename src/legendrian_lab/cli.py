@@ -6,13 +6,14 @@ for the flow) into --out:
   verify     pointwise curvature/identity suite plus, for periodic
              Legendrian surfaces, the grid residual suite: spectral grids
              are judged at N against per-entry roundoff floors, fd grids
-             by convergence-order fits between N and 2N; exit 0 iff all
-             assertions pass.
+             by convergence-order fits on (N/2, N) from N = 64 up where
+             N/2 is even, else on (N, 2N); exit 0 iff all assertions pass.
   integrals  area, Willmore energy, comparison integrals and integral
              identities; exit 0 iff the applicable identities hold.
   flow       Legendrian-constrained area descent; exit 0 iff converged.
 
 Exit codes: 0 success, 1 assertion/convergence failure, 2 usage error.
+A start that cannot be built is a failure, start_error, with a report.
 Reports are byte-identical across runs with identical configuration.
 """
 
@@ -40,6 +41,11 @@ _INTEGRAL_TOL = {
     "fd2": lambda n: max(1e-8, 100.0 * (2 * np.pi / n) ** 2),
 }
 _MIN_ORDER = {"fd2": 1.8, "fd4": 3.5}
+# From this N up an fd order is fitted on (N/2, N), below it on (N, 2N):
+# on (32, 64) the lowest order of seeds 0-31 is 3.83 for fd4 and 1.87 for
+# fd2, while (16, 32) gives 3.46 for fd4 seed 2 and N = 8 trips div_JH's
+# JH tangency guard.  An odd N/2 is no grid, so N = 66, 70, ... keep 2N.
+_HALF_N_FROM = 64
 _FLOOR = 1e-9  # fd residual pairs below this are "converged at floor"
 # A resolved spectral residual is roundoff amplified by about N^k, k the
 # derivatives the entry takes of the positions x (Trefethen, Spectral
@@ -103,6 +109,23 @@ def _build_grid(args, n=None, mode="generic"):
         theta=args.theta, eps=args.epsilon, n=n, scheme=args.scheme,
         seed=args.seed, mode=mode,
     )
+
+
+def _start(args, rep, failures, mode="generic"):
+    """The command's start: the flow's grid, or the derived geometry of verify's and integrals'.
+
+    A start that cannot be built (exp(J0 M) or its image overflows, the
+    induced metric degenerates, a flow start is not a Legendrian graph)
+    prints one error line and is recorded as the failure start_error, so
+    the command still writes its report and exits 1; None is returned.
+    """
+    try:
+        grid = _build_grid(args, mode=mode)
+        return grid if mode == "stable" else grid_ops.derived_geometry(grid)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        _record(rep, failures, "start_error", str(exc), False)
+        return None
 
 
 def _record(rep, failures, key, value, ok):
@@ -211,12 +234,16 @@ def _grid_suite(args, rep, failures):
     """Residual suite of a doubly periodic grid.
 
     Legendrian grids run the structure-identity residual pack: spectral
-    at N against _SPECTRAL_FLOOR, fd schemes at N and 2N against
+    at N against _SPECTRAL_FLOOR, fd schemes at N and a partner grid,
+    N/2 (key _res_halfN) from N = _HALF_N_FROM up where N/2 is even, else
+    2N (_res_2N), whose order fit log2(coarse / fine) must reach
     _MIN_ORDER; a pack that raises (div_JH's JH tangency guard on an
-    under-resolved grid) fails as residual_pack_error, its message.  Other
-    grids check the Gauss curvature consistency.
+    under-resolved grid) fails as residual_pack_error, its message.
+    Other grids check the Gauss curvature consistency.
     """
-    geo = grid_ops.derived_geometry(_build_grid(args))
+    geo = _start(args, rep, failures)
+    if geo is None:
+        return
     if not geo.frame.legendrian:
         kdev = _gauss_consistency(geo)
         rep.set("gauss_consistency_res_N", kdev)
@@ -225,11 +252,13 @@ def _grid_suite(args, rep, failures):
         return
     rep.set("frame_orthonormality_N", geo.frame.orthonormality_residual())
     x_max = float(np.max(np.abs(geo.frame.p)))
+    halve = args.grid >= _HALF_N_FROM and args.grid % 4 == 0
+    partner = args.grid // 2 if halve else 2 * args.grid
     try:
         r1 = _residual_pack(geo)
         if args.scheme != "spectral":
-            del geo  # freed before the 2N grid, whose residual pack sets the peak
-            r2 = _residual_pack(grid_ops.derived_geometry(_build_grid(args, n=2 * args.grid)))
+            del geo  # freed before the partner grid is built
+            r2 = _residual_pack(grid_ops.derived_geometry(_build_grid(args, n=partner)))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _record(rep, failures, "residual_pack_error", str(exc), False)
@@ -242,12 +271,13 @@ def _grid_suite(args, rep, failures):
             rep.set(f"{key}_floor", floor)
         return
     for key in r1:
+        coarse, fine = (r2[key], r1[key]) if halve else (r1[key], r2[key])
         rep.set(f"{key}_res_N", r1[key])
-        rep.set(f"{key}_res_2N", r2[key])
-        if max(r1[key], r2[key]) <= _FLOOR:
+        rep.set(f"{key}_res_{'halfN' if halve else '2N'}", r2[key])
+        if max(coarse, fine) <= _FLOOR:
             rep.set(f"{key}_order", "floor")
             continue
-        order = float(np.log2(r1[key] / r2[key])) if r2[key] > 0 else np.inf
+        order = float(np.log2(coarse / fine)) if fine > 0 else np.inf
         _record(rep, failures, f"{key}_order", order, order >= _MIN_ORDER[args.scheme])
 
 
@@ -265,11 +295,12 @@ def cmd_verify(args):
 
 def cmd_integrals(args):
     _validate(args)
-    g = _build_grid(args)
-    geo = grid_ops.derived_geometry(g)
-    rep = grid_ops.integral_report(geo)
+    failures, refused = [], Report()
+    geo = _start(args, refused, failures)
+    rep = refused if geo is None else grid_ops.integral_report(geo)
     _set_run_keys(rep, args)
-    failures = []
+    if geo is None:
+        return _finish(rep, failures, args.out)
     tol = _INTEGRAL_TOL[args.scheme](args.grid)
     rep.set("assert_tol", tol)
 
@@ -297,14 +328,11 @@ def cmd_integrals(args):
 
 def cmd_flow(args):
     _validate(args)
-    try:
-        g = _build_grid(args, mode="stable")
-    except ValueError as exc:  # the start is not a Legendrian graph: reported as start_error
-        print(f"error: {exc}", file=sys.stderr)
-        result, rep = None, Report().set("converged", False).set("start_error", str(exc))
-    else:
-        result = flow.run_flow(g, tau0=args.tau0, max_steps=args.max_steps, tol=args.tol)
-        rep = result.report
+    refused = Report().set("converged", False)
+    g = _start(args, refused, [], mode="stable")
+    result = None if g is None else flow.run_flow(g, tau0=args.tau0, max_steps=args.max_steps,
+                                                  tol=args.tol)
+    rep = refused if result is None else result.report
     _set_run_keys(rep, args)
     rep.set("epsilon", args.epsilon)
     rep.set("tau0", args.tau0)

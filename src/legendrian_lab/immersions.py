@@ -489,7 +489,8 @@ def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
     projection of a linear symplectic flow is a contactomorphism (Geiges,
     An Introduction to Contact Topology, 2008).  So the flow is
     q -> E q / |E q| with E = exp(J0 M): every resolution samples the same
-    Legendrian surface up to roundoff (an E that overflows is a ValueError).
+    Legendrian surface up to roundoff (an E, or a squared norm |E q|^2, that
+    overflows is a ValueError).
     See random_contact_hamiltonian for the stable/generic distinction.
 
     The stable E is block diagonal, a 2x2 block A_k on each z_k, so the
@@ -515,7 +516,13 @@ def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
                                                  - _arg_of_image(np.linalg.inv(a2), vv)))
         return LegendrianGraph(theta + phase - TWO_PI * np.round(phase / TWO_PI), scheme)
     base = resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
-    return GridSurface(positions=contact.normalize(base.positions @ e.T), scheme=scheme)
+    image = base.positions @ e.T
+    # normalize's |E q|^2 is checked here, not in normalize, which every flow trial calls
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(contact.dot(image, image))):
+            raise ValueError(f"|E q|^2 of exp(J0 M) of the contact Hamiltonian of max |f| = "
+                             f"{eps:.3e} overflows")
+    return GridSurface(positions=contact.normalize(image), scheme=scheme)
 
 
 def _arg_of_image(a, angle):

@@ -75,6 +75,19 @@ def test_verify_perturbed_fd4_orders(tmp_path):
     assert "frame_orthonormality_N" in rep  # reported for every Legendrian grid, not gated
 
 
+@pytest.mark.parametrize("seed", [2, 16])
+def test_fd4_verify_at_64_fits_its_orders_on_half_n(seed, tmp_path):
+    """Seed 16 has the lowest (32, 64) fd4 order of seeds 0-31 (3.83), seed 2 that of (16, 32)."""
+    code = run_cli(["verify", "--epsilon", "0.02", "--scheme", "fd4", "--grid", "64",
+                    "--seed", str(seed), "--out", str(tmp_path)])
+    assert code == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    for key in cli._SPECTRAL_FLOOR:
+        assert {f"{key}_res_N", f"{key}_res_halfN"} <= rep.keys()
+        assert rep[f"{key}_order"] >= 3.5
+    assert not [key for key in rep if key.endswith("_res_2N")]
+
+
 def test_spectral_verify_fails_an_unresolved_grid_at_n(tmp_path):
     """At epsilon 0.3, N = 16 every residual (1.3e-2 to 2.4e-1) is far above its floor."""
     code = run_cli(["verify", "--epsilon", "0.3", "--grid", "16", "--out", str(tmp_path)])
@@ -276,7 +289,7 @@ def test_integrals_on_a_surface_that_is_not_doubly_periodic_is_a_usage_error(sur
 def test_an_overflowing_epsilon_is_one_error_line(command, epsilon, tmp_path, capsys):
     """A finite --epsilon whose Hamiltonian or exponential overflows: no traceback, no warning.
 
-    The flow still writes its report, with the refusal as start_error.
+    Every command still writes its report, with the refusal as start_error.
     """
     message = f"exp(J0 M) of the contact Hamiltonian of max |f| = {float(epsilon):.3e} overflows"
     with warnings.catch_warnings():
@@ -285,12 +298,34 @@ def test_an_overflowing_epsilon_is_one_error_line(command, epsilon, tmp_path, ca
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["start_error"].startswith(message)
     if command == "flow":
-        rep = json.loads((tmp_path / "report.json").read_text())
-        assert rep["converged"] is False and rep["start_error"].startswith(message)
+        assert rep["converged"] is False
         assert not (tmp_path / "flow.csv").exists()
     else:
-        assert not (tmp_path / "report.json").exists()
+        assert (rep["passed"], rep["failed"]) == (False, "start_error")
+
+
+@pytest.mark.parametrize("epsilon, message", [
+    ("100", "degenerate or non-finite induced metric"),
+    ("500", "|E q|^2 of exp(J0 M) of the contact Hamiltonian of max |f| = 5.000e+02 overflows"),
+])
+@pytest.mark.parametrize("command", ["verify", "integrals"])
+def test_a_start_that_cannot_be_built_is_reported_as_start_error(command, epsilon, message,
+                                                                tmp_path, capsys):
+    """verify and integrals write the refusal as their one failure, as the flow does.
+
+    An overflowing exp(J0 M) (epsilon 1e308) is the test above.
+    """
+    code = run_cli([command, "--epsilon", epsilon, "--grid", "16", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["start_error"].startswith(message)
+    assert (rep["passed"], rep["failed"]) == (False, "start_error")
+    assert (rep["command"], rep["grid"], rep["seed"]) == (command, 16, 0)
+    assert (tmp_path / "report.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "integrals", "flow"])

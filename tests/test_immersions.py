@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -428,3 +430,11 @@ def test_stable_graph_has_the_area_of_the_moved_torus_nodes(seed, theta):
     graph = immersions.perturbed_torus(theta=theta, eps=0.02, n=64, scheme="spectral", seed=seed)
     areas = [grid_ops.quadrature(1.0, grid_ops.derived_geometry(s)) for s in (graph, moved)]
     assert abs(areas[0] - areas[1]) <= 1e-13
+
+
+def test_perturbed_torus_names_an_overflowing_image_norm():
+    """At epsilon 500 exp(J0 M) is finite but |E q|^2 is not: the error says so, warning-free."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a float warning fails the test
+        with pytest.raises(ValueError, match=r"\|E q\|\^2 of exp\(J0 M\) .* 5\.000e\+02 over"):
+            immersions.perturbed_torus(eps=500.0, n=16, scheme="spectral", mode="generic")

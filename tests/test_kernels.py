@@ -620,6 +620,26 @@ def test_verify_builds_a_2n_geometry_for_fd_schemes_only(scheme, grid, builds, m
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize("grid, sizes", [(16, [16, 32]), (32, [32, 64]), (64, [64, 32]),
+                                         (66, [66, 132])])
+def test_fd_verify_pairs_n_with_2n_below_64_and_with_half_n_from_64_up(grid, sizes, monkeypatch,
+                                                                      tmp_path):
+    """The requested N is built first, then its partner: N/2 from N = 64 up, else 2N.
+
+    N = 66 keeps 2N, as N/2 = 33 is odd, and no grid is.
+    """
+    wrapped, built = grid_ops.derived_geometry, []
+
+    def sized(surface):
+        built.append(surface.n)
+        return wrapped(surface)
+
+    monkeypatch.setattr(grid_ops, "derived_geometry", sized)
+    assert cli.main(["verify", "--epsilon", "0.02", "--grid", str(grid), "--scheme", "fd4",
+                     "--out", str(tmp_path)]) == 0
+    assert built == sizes
+
+
 def test_d_frame_matches_the_full_coefficient_combination(geometry_cache):
     """D_E1 from D_u alone gives the bits of c11 D_u + c12 D_v, as c12 is exactly 0."""
     geo = geometry_cache("torus", 32, "fd4", eps=0.02)

@@ -51,8 +51,11 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # equatorial sphere, which is not doubly periodic, so no grid operator
 # applies (a usage error, exit 2); and a flow at epsilon 1e308, whose
 # contact Hamiltonian overflows (exit 1; its start_error names the
-# overflow).  A verify at epsilon 1e308 would show nothing here: it
-# writes no report and exits 1 whatever its error says
+# overflow), and a verify at epsilon 1e308, which overflows the same way
+# and writes its report with start_error as its one failure; and an fd2
+# N=64 verify, whose orders are fitted on (32, 64) with the thinnest
+# margin of any fd pair (lowest order 1.88 on seeds 0-2, 1.87 on seeds
+# 0-31, against the fd2 gate of 1.8)
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -69,6 +72,8 @@ EXTRA_OPS = (
     ("flow", ("--epsilon", "0.3", "--grid", "16")),
     ("integrals", ("--surface", "equatorial-legendrian-sphere", "--grid", "32")),
     ("flow", ("--epsilon", "1e308")),
+    ("verify", ("--epsilon", "1e308")),
+    ("verify", ("--epsilon", "0.02", "--grid", "64", "--scheme", "fd2")),
 )
 CHILD = CHILD_IMPORT + """
 from legendrian_lab.cli import main
