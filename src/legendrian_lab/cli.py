@@ -20,6 +20,7 @@ Reports are byte-identical across runs with identical configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -344,7 +345,14 @@ def cmd_flow(args):
     return 0 if result.converged else 1
 
 
+@functools.cache
 def build_parser():
+    """The leglab parser, built once per process: argparse formats on every add_argument.
+
+    Its defaults (flow.DEFAULT_TAU0, DEFAULT_MAX_STEPS, DEFAULT_TOL) are read
+    on that first call, so a test that patches them later does not reach the
+    CLI's defaults.  Each parse_args returns a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="leglab",
         description="Verification suites, integral reports and area flows "

@@ -77,7 +77,7 @@ class AdaptedFrame:
         worst = 0.0
         for i, a in enumerate(vecs):
             worst = max(worst, float(np.max(np.abs(dot(a, self.p)))))
-            for k, b in enumerate(vecs):
+            for k, b in enumerate(vecs[i:], i):  # <a, b> = <b, a> bit for bit: each pair once
                 g = dot(a, b) - (1.0 if i == k else 0.0)
                 worst = max(worst, float(np.max(np.abs(g))))
         return worst
@@ -135,9 +135,20 @@ class ExtrinsicData:
     Bhat: np.ndarray         # (..., 2, 2, 6) normal-valued second fundamental form, flat indices
     frame: AdaptedFrame
 
-    # (..., 3, 2, 2) <Bhat_ab, N_k>; raises through normals() off a Legendrian frame
-    h = cached_property(lambda self: np.stack(
-        [dot(self.Bhat, n[..., None, None, :]) for n in self.frame.normals()], axis=-3))
+    @cached_property
+    def h(self):
+        """(..., 3, 2, 2) <Bhat_ab, N_c>; raises through normals() off a Legendrian frame.
+
+        Only the 9 contractions with a <= b are taken: an adapted frame's coeff is
+        triangular, so Bhat_10 and Bhat_01 are equal bit for bit, and h^c_10 is a copy.
+        """
+        h = np.empty(self.Bhat.shape[:-3] + (3, 2, 2))
+        for c, n in enumerate(self.frame.normals()):
+            for a, b in ((0, 0), (0, 1), (1, 1)):
+                h[..., c, a, b] = dot(self.Bhat[..., a, b, :], n)
+        h[..., 1, 0] = h[..., 0, 1]
+        return h
+
     Hcomp = cached_property(lambda self: 0.5 * (self.h[..., 0, 0] + self.h[..., 1, 1]))
     S = cached_property(lambda self: np.einsum("...abk,...abk->...", self.Bhat, self.Bhat))
     H2 = cached_property(lambda self: dot(self.Hvec, self.Hvec))
@@ -159,24 +170,29 @@ def extrinsic_data(jet: Jet2, frame: AdaptedFrame) -> ExtrinsicData:
 
     B_ij = P_nu(d_ij x + g_ij p), P_nu = frame.normal_part, so no normal
     frame is built.  Bhat_ab = c_ai c_bj B_ij is summed one coordinate B_ij
-    at a time, so the build holds one B_ij.  ginv, from the raw jets,
-    differs from the inverse metric c^T c of the tangential parts of d_i x
-    by the O(scheme) radial part of FD jets.
+    at a time, so the build holds one B_ij; each Bhat_ab is summed in its
+    own contiguous (..., 6) array, and the four are stacked once.  ginv,
+    from the raw jets, differs from the inverse metric c^T c of the
+    tangential parts of d_i x by the O(scheme) radial part of FD jets.
     """
     E, F, G, det = first_fundamental_form(jet.du, jet.dv)
     check_induced_metric(det)
     g = np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
     ginv = np.stack([np.stack([G, -F], axis=-1), np.stack([-F, E], axis=-1)], axis=-2)
     ginv /= det[..., None, None]
+    del E, F, G  # freed before Bhat's stack, which holds the four sums and their copy at once
 
     c, p = frame.coeff, jet.value
     # Bhat_ab = sum_ij (c_ai c_bj) B_ij, each sum in (i, j) order; B_10 = B_01
-    Bhat = np.zeros(p.shape[:-1] + (2, 2, 6))
+    acc = [np.zeros(p.shape) for _ in range(4)]  # Bhat_00, Bhat_01, Bhat_10, Bhat_11
     for i, j, d2 in ((0, 0, jet.duu), (0, 1, jet.duv), (1, 1, jet.dvv)):
         bij = frame.normal_part(d2 + g[..., i, j, None] * p)  # coordinate B_ij
         for k, m in dict.fromkeys([(i, j), (j, i)]):
-            for a, b in np.ndindex(2, 2):
-                Bhat[..., a, b, :] += (c[..., a, k] * c[..., b, m])[..., None] * bij
+            for ab, (a, b) in enumerate(np.ndindex(2, 2)):
+                acc[ab] += (c[..., a, k] * c[..., b, m])[..., None] * bij
+        del bij  # freed before the next B_ij is built
+    Bhat = np.stack(acc, axis=-2).reshape(p.shape[:-1] + (2, 2, 6))
+    del acc
     Hvec = 0.5 * (Bhat[..., 0, 0, :] + Bhat[..., 1, 1, :])
     return ExtrinsicData(g, ginv, np.sqrt(det), Hvec, Bhat, frame)
 

@@ -89,9 +89,14 @@ class DerivedGeometry:
         return grids.deriv(field, axis, self.scheme)
 
     def d_frame(self, field):
-        """(D_E1, D_E2) of field from one (D_u, D_v) pair, scaled in place; coeff is triangular."""
+        """(D_E1, D_E2) of field from one (D_u, D_v) pair, scaled in place; coeff is triangular.
+
+        A strided field (a slice of Bhat or h) is copied to a contiguous array once, for both axes.
+        """
+        field = np.ascontiguousarray(field, dtype=float)
         du, dv = self.d(field, 0), self.d(field, 1)
         c = self.frame.coeff.reshape(self.frame.coeff.shape + (1,) * (field.ndim - 2))
+        del field  # a copy is freed before the scaling's temporary
         dv *= c[:, :, 1, 1]
         dv += c[:, :, 1, 0] * du
         du *= c[:, :, 0, 0]

@@ -459,6 +459,17 @@ _STABLE_PAIRS = [(0, 0), (1, 1), (2, 2)]
 _GENERIC_PAIRS = [(0, 1), (0, 2), (1, 2)]
 
 
+@functools.lru_cache(maxsize=1)
+def _hamiltonian_tables():
+    """The 12 forms Re, Im z_i z_j (stable first) and the N = 32 torus that scales every draw.
+
+    Read-only and built once per process (cached).
+    """
+    basis = tuple(grids.read_only(_pair_quadratic(i, j, kind))
+                  for (i, j) in _STABLE_PAIRS + _GENERIC_PAIRS for kind in ("re", "im"))
+    return basis, grids.read_only(_torus_evaluator(0.0)(*grids.grid_nodes(32)).value)
+
+
 def random_contact_hamiltonian(eps, seed=0, mode="stable"):
     """Matrix M of a random non-isometric quadratic Hamiltonian f = q^T M q, max |f| = eps.
 
@@ -469,11 +480,11 @@ def random_contact_hamiltonian(eps, seed=0, mode="stable"):
     on the unperturbed N = 32 torus grid.
     """
     rng = np.random.default_rng(seed)
-    pairs = _STABLE_PAIRS if mode == "stable" else _STABLE_PAIRS + _GENERIC_PAIRS
-    basis = [_pair_quadratic(i, j, kind) for (i, j) in pairs for kind in ("re", "im")]
+    basis, reference = _hamiltonian_tables()
+    if mode == "stable":
+        basis = basis[:2 * len(_STABLE_PAIRS)]
     coeffs = rng.standard_normal(len(basis))
     m = sum(c * b for c, b in zip(coeffs, basis))
-    reference = _torus_evaluator(0.0)(*grids.grid_nodes(32)).value
     scale = float(np.max(np.abs(np.einsum("...i,ij,...j->...", reference, m, reference))))
     if scale == 0.0:
         raise ValueError("degenerate Hamiltonian draw")

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +233,39 @@ def test_reports_byte_identical_across_runs(tmp_path):
     assert run_cli(args + ["--out", str(out2)]) == 0
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
+
+
+def _run_first_in_a_new_interpreter(argv, out):
+    """The op's exit code when it is the first op of its process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "legendrian_lab.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True).returncode
+
+
+def test_main_keeps_no_state_between_in_process_calls(tmp_path):
+    """flow, verify, integrals and verify again in one process write what each writes run first.
+
+    build_parser runs once per process, and each parse returns a fresh
+    namespace: a verify parsed after a flow carries none of the flow's
+    options, which _validate reads with getattr defaults.
+    """
+    ops = {kind: [kind, "--epsilon", "0.02", "--grid", "16"]
+           for kind in ("flow", "verify", "integrals")}
+    codes = {kind: _run_first_in_a_new_interpreter(argv, tmp_path / f"first-{kind}")
+             for kind, argv in ops.items()}
+    for k, kind in enumerate(("flow", "verify", "integrals", "verify")):
+        first, out = tmp_path / f"first-{kind}", tmp_path / f"{k}-{kind}"
+        assert run_cli(ops[kind] + ["--out", str(out)]) == codes[kind]
+        names = sorted(path.name for path in first.iterdir())
+        assert {"report.json", "report.txt"} <= set(names)
+        assert names == sorted(path.name for path in out.iterdir())
+        for name in names:
+            assert (out / name).read_bytes() == (first / name).read_bytes(), (kind, name)
+    parser = cli.build_parser()
+    assert parser is cli.build_parser()
+    parser.parse_args(ops["flow"])
+    args = parser.parse_args(ops["verify"])
+    assert not any(hasattr(args, name) for name in ("tau0", "max_steps", "tol"))
 
 
 def test_flow_csv_byte_identical_across_runs(tmp_path):

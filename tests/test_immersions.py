@@ -294,7 +294,12 @@ def test_ambient_perturbation_scale_set_by_eps():
 
 @pytest.mark.parametrize("mode", ["stable", "generic"])
 def test_hamiltonian_scale_from_torus_values_keeps_the_matrix_bits(mode):
-    """M scaled from the torus values alone equals M scaled from the full fd4 grid surface."""
+    """M scaled from the torus values alone equals M scaled from the full fd4 grid surface.
+
+    The basis forms and the reference torus are cached read-only tables, so
+    no caller can write them, and a draw of other arguments between two
+    identical draws leaves the second with the first's bits.
+    """
     for seed in range(4):
         rng = np.random.default_rng(seed)
         pairs = immersions._STABLE_PAIRS + (immersions._GENERIC_PAIRS if mode == "generic" else [])
@@ -303,8 +308,16 @@ def test_hamiltonian_scale_from_torus_values_keeps_the_matrix_bits(mode):
         reference = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 32,
                                                 "fd4").positions
         scale = float(np.max(np.abs(np.einsum("...i,ij,...j->...", reference, m, reference))))
-        assert np.array_equal(immersions.random_contact_hamiltonian(0.02, seed=seed, mode=mode),
-                              (0.02 / scale) * m)
+        first = immersions.random_contact_hamiltonian(0.02, seed=seed, mode=mode)
+        assert np.array_equal(first, (0.02 / scale) * m)
+        other = "generic" if mode == "stable" else "stable"
+        immersions.random_contact_hamiltonian(0.5, seed=seed + 1, mode=other)
+        second = immersions.random_contact_hamiltonian(0.02, seed=seed, mode=mode)
+        assert np.array_equal(second.view(np.uint64), first.view(np.uint64))
+    basis, reference = immersions._hamiltonian_tables()
+    for table in (*basis, reference):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -715,6 +715,24 @@ def test_gradient_norm_decomposition_matches_its_einsum_form(case, geometry_cach
         assert err <= 16 * np.spacing(scale[key]), (key, err / np.spacing(scale[key]))
 
 
+@pytest.mark.parametrize("case", ["fd4", "spectral", "flowed"])
+def test_h_copies_its_10_slice_with_the_bits_of_all_12_contractions(case, geometry_cache,
+                                                                    flowed_geo, monkeypatch):
+    """An adapted frame's coeff is triangular, so Bhat_10 and Bhat_01 are equal bit for bit.
+
+    h contracts only the slices a <= b and copies h^c_10 from h^c_01, which
+    must give the bits of the 12 contractions of _reference_extrinsic.
+    """
+    if case == "flowed":
+        geo = _legendrian_flowed_geo(flowed_geo, monkeypatch)
+    else:
+        geo = geometry_cache("torus", 32, case, eps=0.02)
+    bhat = geo.data.Bhat
+    assert np.array_equal(bhat[..., 0, 1, :].view(np.uint64), bhat[..., 1, 0, :].view(np.uint64))
+    ref = _reference_extrinsic(geo.surface.jets(), geo.frame)
+    assert np.array_equal(geo.data.h.view(np.uint64), ref["h"].view(np.uint64))
+
+
 @pytest.mark.parametrize("scheme, ulp_per_n", [("fd4", 4.0), ("spectral", 16.0)])
 @pytest.mark.parametrize("n", [32, 128])
 def test_half_trace_of_nabla_h_matches_the_derivative_of_hcomp(scheme, ulp_per_n, n):

@@ -6,8 +6,11 @@ only), a child interpreter per tree imports the library from
 `extrinsic.AdaptedFrame.normals`, `grid_ops.gradient_norm_decomposition`
 (the one function that takes the frame-component, or tangential, route
 of the gradient norms), `extrinsic.pointwise_identity_residuals` (the h^3
-and symmetry checks) and every transform of `numpy.fft` (one `numpy.fft`
-counter for all of them) with counters, and runs the op
+and symmetry checks), every transform of `numpy.fft` (one `numpy.fft`
+counter for all of them) and `numpy.einsum` (which `contact.dot`,
+`contact.contact_form` and `ExtrinsicData.S` look up at call time, so every
+pointwise contraction is counted, one per call whatever its size) with
+counters, and runs the op
 through `legendrian_lab.cli.main` with OMP/OPENBLAS/MKL threads set to 1:
 once to fill the caches the op reads (differentiation matrices, node
 tables), then, after a full garbage collection, once counted and under
@@ -37,11 +40,12 @@ from pathlib import Path
 from source_trees import CHILD_IMPORT, child_env, library_sources, load_workloads
 
 COUNTERS = ("grids.deriv", "AdaptedFrame.normal_part", "AdaptedFrame.normals",
-            "gradient_norm_decomposition", "pointwise_identity_residuals", "numpy.fft")
+            "gradient_norm_decomposition", "pointwise_identity_residuals", "numpy.fft",
+            "numpy.einsum")
 KEYS = ("exit", *COUNTERS, "traced_peak_bytes")  # one row per op
 CHILD = CHILD_IMPORT + """
 import gc, json, tempfile, tracemalloc
-import numpy.fft
+import numpy, numpy.fft
 from legendrian_lab import cli, extrinsic, grid_ops, grids
 
 counts = {}
@@ -62,6 +66,7 @@ counted(extrinsic, "pointwise_identity_residuals", "pointwise_identity_residuals
 for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
              "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
     counted(numpy.fft, name, "numpy.fft")
+counted(numpy, "einsum", "numpy.einsum")
 rows = []
 for argv in json.loads(sys.argv[2]):
     with tempfile.TemporaryDirectory() as out:
