@@ -6,7 +6,7 @@ grid_ops (global operators, residuals, integrals), flow (constrained
 area descent), report (serialization), cli (command line).
 """
 
-from .contact import contact_form, j_apply, project_contact_hyperplane, reeb
+from .contact import contact_form, j_apply
 from .extrinsic import adapted_frame, extrinsic_data, pointwise_identity_residuals
 from .flow import first_variation_check, run_flow
 from .grid_ops import derived_geometry, integral_report, quadrature
@@ -16,10 +16,8 @@ from .immersions import (
     Jet2,
     catalog,
     eval_jet2,
-    load_grid,
     perturbed_torus,
     resample_to_grid,
-    save_grid,
 )
 from .report import Report
 
@@ -37,15 +35,11 @@ __all__ = [
     "first_variation_check",
     "integral_report",
     "j_apply",
-    "load_grid",
     "perturbed_torus",
     "pointwise_identity_residuals",
-    "project_contact_hyperplane",
     "quadrature",
-    "reeb",
     "resample_to_grid",
     "run_flow",
-    "save_grid",
 ]
 
 __version__ = "0.1.0"

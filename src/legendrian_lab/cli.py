@@ -113,16 +113,19 @@ def _build_grid(args, n=None, mode="generic"):
 
 
 def _start(args, rep, failures, mode="generic"):
-    """The command's start: the flow's grid, or the derived geometry of verify's and integrals'.
+    """The command's start: the flow's FlowState, or verify's and integrals' derived geometry.
 
     A start that cannot be built (exp(J0 M) or its image overflows, the
-    induced metric degenerates, a flow start is not a Legendrian graph)
-    prints one error line and is recorded as the failure start_error, so
-    the command still writes its report and exits 1; None is returned.
+    induced metric degenerates, a flow start is not a Legendrian graph or
+    its Lagrangian angle leaves its branch) prints one error line and is
+    recorded as the failure start_error, so the command still writes its
+    report and exits 1; None is returned.
     """
     try:
         grid = _build_grid(args, mode=mode)
-        return grid if mode == "stable" else grid_ops.derived_geometry(grid)
+        if mode == "stable":
+            return flow.start_flow(grid, tau0=args.tau0)
+        return grid_ops.derived_geometry(grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         _record(rep, failures, "start_error", str(exc), False)
@@ -212,7 +215,7 @@ def _residual_pack(geo):
     out["reeb_pairing"] = float(np.max(np.abs(grid_ops.reeb_pairing_residual(geo))))
     out["closedness"] = float(np.max(np.abs(grid_ops.mean_curvature_form_closedness(geo))))
     w = grid_ops.ker_alpha_normal_field(geo, np.cos(vv), np.sin(uu))
-    resform, _ = grid_ops.omega_commutation_residual(w, geo)
+    resform = grid_ops.omega_commutation_residual(w, geo)
     out["omega_commutation"] = float(np.max(grid_ops.oneform_norm(resform, geo)))
     theta = np.stack([np.cos(uu + vv), np.sin(uu - 2 * vv)], axis=-1)
     _, _, wres = grid_ops.oneform_laplacians(theta, geo)
@@ -330,9 +333,9 @@ def cmd_integrals(args):
 def cmd_flow(args):
     _validate(args)
     refused = Report().set("converged", False)
-    g = _start(args, refused, [], mode="stable")
-    result = None if g is None else flow.run_flow(g, tau0=args.tau0, max_steps=args.max_steps,
-                                                  tol=args.tol)
+    start = _start(args, refused, [], mode="stable")
+    result = None if start is None else flow.run_flow(start, max_steps=args.max_steps,
+                                                      tol=args.tol)
     rep = refused if result is None else result.report
     _set_run_keys(rep, args)
     rep.set("epsilon", args.epsilon)

@@ -52,41 +52,18 @@ def check_sphere(p, tol=SPHERE_INPUT_TOL, what="point"):
         )
 
 
-def contact_form(p, v, check=True):
-    """alpha_p(v) = sum_j (x_j v_{y_j} - y_j v_{x_j})."""
+def contact_form(p, v):
+    """alpha_p(v) = sum_j (x_j v_{y_j} - y_j v_{x_j}); p is not checked to lie on the sphere."""
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    if check:
-        check_sphere(p)
     return np.einsum("...i,...i->...", p[..., 0::2], v[..., 1::2]) - np.einsum(
         "...i,...i->...", p[..., 1::2], v[..., 0::2]
     )
 
 
-def reeb(p, check=True):
-    """Reeb field R(p) = J0 p; satisfies alpha(R) = 1 on the sphere."""
-    if check:
-        check_sphere(p)
-    return j_apply(p)
-
-
-def project_contact_hyperplane(p, v, check=True):
-    """Orthogonal projection of v onto ker(alpha) within T_p S^5.
-
-    Removes the radial and Reeb components; idempotent because p and J0 p
-    are orthonormal.
-    """
-    if check:
-        check_sphere(p)
-    v = np.asarray(v, dtype=float)
-    r = j_apply(np.asarray(p, dtype=float))
-    w = v - dot(v, p)[..., None] * p
-    return w - dot(w, r)[..., None] * r
-
-
 def structure_tensor(p, v):
     """Sasakian structure tensor phi(v) = -J0 (v - alpha(v) R) for tangent v."""
-    a = contact_form(p, v, check=False)
+    a = contact_form(p, v)
     r = j_apply(np.asarray(p, dtype=float))
     return -j_apply(v - a[..., None] * r)
 

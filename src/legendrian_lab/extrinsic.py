@@ -85,7 +85,7 @@ class AdaptedFrame:
 
 def legendrian_residual(p, du, dv):
     """(alpha(du), alpha(dv)) at p: the one Legendrian residual of the frame, flow and CLI."""
-    return tuple(contact.contact_form(p, x, check=False) for x in (du, dv))
+    return tuple(contact.contact_form(p, x) for x in (du, dv))
 
 
 def adapted_frame(jet: Jet2) -> AdaptedFrame:

@@ -274,10 +274,13 @@ class FlowResult:
     geometry: grid_ops.DerivedGeometry  # of the final surface, the one run_flow builds
 
 
-def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
+def run_flow(start, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
              tol=DEFAULT_TOL) -> FlowResult:
     """Iterate flow_step until ||div JH||_2 <= tol * initial or max_steps.
 
+    start is a LegendrianGraph, or the FlowState start_flow made of one,
+    which already holds its tau0 (the CLI builds it first, so that a start
+    whose angle or metric is refused is reported as its start_error).
     Inputs already stationary at the absolute floor terminate at step 0
     (a purely relative target would chase roundoff).  The final report
     says why the flow stopped (stop_reason, see the module docstring for
@@ -289,7 +292,7 @@ def run_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_
     """
     if not (tol > 0 and tau0 > 0):
         raise ValueError("tol and tau0 must be positive")
-    state = start_flow(surface, tau0=tau0)
+    state = start if isinstance(start, FlowState) else start_flow(start, tau0=tau0)
     initial_div = state.residual_history[0][0]
     target = max(tol * initial_div, DIV_JH_FLOOR)
     stop_reason = None

@@ -306,7 +306,7 @@ def ker_alpha_normal_field(geo: DerivedGeometry, c1, c2):
          + np.asarray(c2)[..., None] * j_apply(geo.frame.E2))
     for _ in range(3):
         v = geo.frame.normal_part(v)
-        v = v - contact.contact_form(geo.frame.p, v, check=False)[..., None] * r
+        v = v - contact.contact_form(geo.frame.p, v)[..., None] * r
     return geo.frame.normal_part(v)
 
 
@@ -319,12 +319,11 @@ def omega_commutation_residual(v, geo: DerivedGeometry):
     (the contraction omega~ annihilates Reeb components, so this is the
     connection the isomorphism intertwines with the induced one on forms;
     with the unprojected connection the identity provably fails, e.g. for
-    the constant-coefficient field J E2 on the flat torus).  The Reeb
-    component discarded at first order is reported separately.
+    the constant-coefficient field J E2 on the flat torus).
     """
     v = np.asarray(v, dtype=float)
     check_normal_field(v, geo, what="omega_commutation input")
-    alpha_v = contact.contact_form(geo.frame.p, v, check=False)
+    alpha_v = contact.contact_form(geo.frame.p, v)
     scale = max(1.0, float(np.max(contact.norm(v))))
     if not float(np.max(np.abs(alpha_v))) <= KER_ALPHA_TOL * scale:
         raise ValueError("omega_commutation input must lie in ker(alpha)")
@@ -333,12 +332,10 @@ def omega_commutation_residual(v, geo: DerivedGeometry):
 
     r = j_apply(geo.frame.p)
     proj_ker = lambda w: w - dot(w, r)[..., None] * r
-    first = covariant_derivative_normal(v, geo)
-    discrepancy = max(float(np.max(np.abs(dot(w, r)))) for w in first)
-    first = [proj_ker(w) for w in first]
+    first = [proj_ker(w) for w in covariant_derivative_normal(v, geo)]
     lap = _connection_laplacian(first, geo, lambda w: proj_ker(geo.frame.normal_part(w)))
     lhs -= omega_contraction(lap, geo)
-    return lhs, discrepancy
+    return lhs
 
 
 def reeb_pairing_residual(geo: DerivedGeometry):

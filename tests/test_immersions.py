@@ -121,13 +121,13 @@ def test_torus_strictly_legendrian_clifford_not():
     for theta in (0.0, 1.0, np.pi):
         t = immersions.catalog("legendrian_torus", theta=theta)
         jet = immersions.eval_jet2(t, u, v)
-        au = contact.contact_form(jet.value, jet.du, check=False)
-        av = contact.contact_form(jet.value, jet.dv, check=False)
+        au = contact.contact_form(jet.value, jet.du)
+        av = contact.contact_form(jet.value, jet.dv)
         assert max(np.max(np.abs(au)), np.max(np.abs(av))) < 1e-12
     c = immersions.catalog("clifford_s3")
     jet = immersions.eval_jet2(c, u, v)
-    au = contact.contact_form(jet.value, jet.du, check=False)
-    av = contact.contact_form(jet.value, jet.dv, check=False)
+    au = contact.contact_form(jet.value, jet.du)
+    av = contact.contact_form(jet.value, jet.dv)
     assert np.max(np.abs(au - 0.5)) < 1e-12
     assert np.max(np.abs(av - 0.5)) < 1e-12
 
@@ -138,8 +138,8 @@ def test_equatorial_sphere_legendrian():
     u = rng.uniform(0, 2 * np.pi, 200)
     v = rng.uniform(-1.2, 1.2, 200)
     jet = immersions.eval_jet2(s, u, v)
-    assert np.max(np.abs(contact.contact_form(jet.value, jet.du, check=False))) < 1e-12
-    assert np.max(np.abs(contact.contact_form(jet.value, jet.dv, check=False))) < 1e-12
+    assert np.max(np.abs(contact.contact_form(jet.value, jet.du))) < 1e-12
+    assert np.max(np.abs(contact.contact_form(jet.value, jet.dv))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -188,68 +188,12 @@ def test_grid_jets_fd2_second_order():
     assert 3.2 < e16 / e32 < 4.8
 
 
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_grid_round_trip(tmp_path):
-    g = immersions.perturbed_torus(eps=0.02, n=16, scheme="fd4", seed=3)
-    path = tmp_path / "grid.txt"
-    immersions.save_grid(g, path)
-    loaded = immersions.load_grid(path)
-    assert loaded.scheme == "fd4"
-    assert loaded.n == 16
-    assert np.array_equal(loaded.positions, g.positions)
-    header = path.read_text().splitlines()[0]
-    assert header == "legendrian-lab grid v1 N=16 scheme=fd4"
-
-
-def test_grid_load_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("not a grid\n")
-    with pytest.raises(ValueError):
-        immersions.load_grid(path)
-
-
-@pytest.mark.parametrize("header", [
-    "legendrian-lab grid v1 scheme=fd4",
-    "legendrian-lab grid v1 N=16",
-    "legendrian-lab grid v1 N=16 stray scheme=fd4",
-    "legendrian-lab grid v1 N=16 N=16 scheme=fd4",
-    "legendrian-lab grid v1 N=sixteen scheme=fd4",
-    "legendrian-lab grid v10 N=16 scheme=fd4",
-    "legendrian-lab grid v1N=16 scheme=fd4",
-])
-def test_grid_load_names_malformed_header(tmp_path, header):
-    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "fd4")
-    path = tmp_path / "grid.txt"
-    immersions.save_grid(g, path)
-    body = path.read_text().split("\n", 1)[1]
-    path.write_text(header + "\n" + body)
-    with pytest.raises(ValueError, match="not a grid file: header") as err:
-        immersions.load_grid(path)
-    assert repr(header) in str(err.value)
-
-
 def test_grid_surface_rejects_nan_positions():
     g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "fd4")
     pos = g.positions.copy()
     pos[3, 5, 2] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         immersions.GridSurface(positions=pos, scheme="fd4")
-
-
-def test_grid_load_rejects_nan(tmp_path):
-    g = immersions.resample_to_grid(immersions.catalog("legendrian_torus"), 16, "fd4")
-    path = tmp_path / "grid.txt"
-    immersions.save_grid(g, path)
-    lines = path.read_text().splitlines()
-    row = lines[7].split()
-    row[2] = "nan"
-    lines[7] = " ".join(row)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="non-finite"):
-        immersions.load_grid(path)
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +270,41 @@ def test_hamiltonian_scale_from_torus_values_keeps_the_matrix_bits(mode):
 J0 = contact.j_apply(np.eye(6)).T  # the matrix of the complex structure
 
 
+def _project_contact_hyperplane(p, v):
+    """Orthogonal projection of v onto ker(alpha) within T_p S^5.
+
+    Removes the radial and Reeb components; idempotent because p and J0 p
+    are orthonormal.
+    """
+    r = contact.j_apply(p)
+    w = v - contact.dot(v, p)[..., None] * p
+    return w - contact.dot(w, r)[..., None] * r
+
+
+def test_projection_kills_radial_and_reeb_directions():
+    rng = np.random.default_rng(3)
+    p = contact.random_sphere_points(50, rng)
+    assert np.max(contact.norm(_project_contact_hyperplane(p, p))) < 1e-14
+    assert np.max(contact.norm(_project_contact_hyperplane(p, contact.j_apply(p)))) < 1e-14
+
+
+def test_projection_idempotent_with_null_pairings():
+    rng = np.random.default_rng(4)
+    p = contact.random_sphere_points(200, rng)
+    v = rng.standard_normal((200, 6))
+    w = _project_contact_hyperplane(p, v)
+    w2 = _project_contact_hyperplane(p, w)
+    assert np.max(contact.norm(w - w2)) < 1e-12
+    assert np.max(np.abs(contact.dot(w, p))) < 1e-12
+    assert np.max(np.abs(contact.contact_form(p, w))) < 1e-12
+
+
 def _rk4_contact_flow(positions, m, steps=40):
     """Classical RK4 over unit time of the contact field of f = q^T M q."""
 
     def field(q):
         f = np.einsum("...i,ij,...j->...", q, m, q)
-        g_xi = contact.project_contact_hyperplane(q, 2.0 * q @ m, check=False)
+        g_xi = _project_contact_hyperplane(q, 2.0 * q @ m)
         return f[..., None] * contact.j_apply(q) + 0.5 * contact.j_apply(g_xi)
 
     q, h = positions, 1.0 / steps

@@ -1,4 +1,6 @@
 import ast
+import inspect
+import json
 import os
 import re
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import legendrian_lab
+from legendrian_lab import cli
 
 SRC = Path(legendrian_lab.__file__).resolve().parent
 
@@ -43,6 +46,93 @@ def test_every_public_function_is_exported_or_called_by_the_library():
               if not name.startswith("_") and name not in legendrian_lab.__all__
               and name not in referenced]
     assert unused == []
+
+
+# Library functions that no command enters, each with the reason it stays in src/.
+UNREACHED_BY_COMMANDS = {
+    "flow.first_variation_check": "the three-way first-variation oracle of the flow tests",
+    "immersions.variation_field_on_positions": "the V_f that oracle reads; "
+                                               "perfbench/test_spans.py reads it from flow",
+}
+
+_REACH_CHILD = """
+import json, os, sys, tempfile
+
+entered = set()
+
+def note(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+sys.setprofile(note)
+from legendrian_lab import cli
+with tempfile.TemporaryDirectory() as out:
+    for argv in json.loads(sys.argv[1]):
+        try:
+            cli.main(argv + ["--out", out])
+        except SystemExit:  # a usage error
+            pass
+sys.setprofile(None)
+print(json.dumps(sorted((os.path.realpath(name), line) for name, line in entered)))
+"""
+
+
+def _reach_ops():
+    """Every command x surface x scheme, then the paths the defaults do not take."""
+    ops = [[command, "--surface", surface, "--scheme", scheme, "--grid", "16"]
+           for command in ("verify", "integrals", "flow")
+           for surface in ("legendrian-torus", "equatorial-legendrian-sphere", "clifford-s3",
+                           "veronese-s4")
+           for scheme in ("spectral", "fd4", "fd2")]
+    eps = ["--epsilon", "0.02"]
+    return ops + [
+        ["verify", *eps, "--grid", "16"],                       # the perturbed torus
+        ["verify", *eps, "--grid", "16", "--scheme", "fd2"],    # fd order fit on (N, 2N)
+        ["verify", *eps, "--grid", "64", "--scheme", "fd4"],    # fd order fit on (N/2, N)
+        ["integrals", *eps, "--grid", "130"],                   # direct derivative path
+        ["flow", *eps, "--grid", "16"],
+        ["verify", *eps, "--grid", "8", "--scheme", "fd2"],     # residual_pack_error
+        ["verify", "--epsilon", "100", "--grid", "16"],         # start_error: det g
+        ["flow", "--epsilon", "0.3", "--grid", "16"],           # start_error: not a graph
+        ["flow", "--epsilon", "2", "--grid", "32", "--scheme", "fd2"],  # start_error: angle
+        ["verify", "--grid", "6"],                              # usage error
+    ]
+
+
+def _library_functions():
+    """{(file, first line): module.qualified.name} of every def; lambdas and comprehensions skipped.
+
+    Keyed by first line, since co_qualname needs Python 3.11.
+    """
+    found = {}
+
+    def walk(code, path, prefix):
+        for const in code.co_consts:
+            if isinstance(const, type(code)) and not const.co_name.startswith("<"):
+                name = prefix + const.co_name
+                if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+                    found[(str(path), const.co_firstlineno)] = name
+                walk(const, path, name + ".")
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(compile(path.read_text(), str(path), "exec"), path, f"{path.stem}.")
+    return found
+
+
+def test_every_library_function_is_reached_by_a_command_or_allowlisted():
+    """Code no command runs leaves src/, bar the allowlisted oracles.
+
+    A fresh interpreter, so that no lru_cache a test filled hides a table builder.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", _REACH_CHILD, json.dumps(_reach_ops())],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    entered = {tuple(key) for key in json.loads(proc.stdout)}
+    functions = _library_functions()
+    assert (str(SRC / "cli.py"), cli.main.__code__.co_firstlineno) in entered
+    unreached = sorted(name for key, name in functions.items() if key not in entered)
+    assert unreached == sorted(UNREACHED_BY_COMMANDS)
 
 
 def test_every_module_constant_is_read_by_the_library():

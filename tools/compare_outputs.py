@@ -55,7 +55,10 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # and writes its report with start_error as its one failure; and an fd2
 # N=64 verify, whose orders are fitted on (32, 64) with the thinnest
 # margin of any fd pair (lowest order 1.88 on seeds 0-2, 1.87 on seeds
-# 0-31, against the fd2 gate of 1.8)
+# 0-31, against the fd2 gate of 1.8); and two fd2 flows whose seed-0 start is
+# a graph that start_flow refuses, its Lagrangian angle off its branch
+# (epsilon 2, N = 32) or its det g degenerate (epsilon 5, N = 16): each
+# exits 1 with start_error in its report and no flow.csv
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -74,6 +77,8 @@ EXTRA_OPS = (
     ("flow", ("--epsilon", "1e308")),
     ("verify", ("--epsilon", "1e308")),
     ("verify", ("--epsilon", "0.02", "--grid", "64", "--scheme", "fd2")),
+    ("flow", ("--epsilon", "2", "--grid", "32", "--scheme", "fd2")),
+    ("flow", ("--epsilon", "5", "--grid", "16", "--scheme", "fd2")),
 )
 CHILD = CHILD_IMPORT + """
 from legendrian_lab.cli import main
