@@ -101,18 +101,18 @@ def _validate(args):
         _usage_error(f"--out {args.out!r} is not a usable directory: {exc.strerror}")
 
 
-def _build_grid(args, n=None, mode="generic"):
+def _build_grid(args, n=None):
     n = n or args.grid
     if args.surface != "legendrian-torus":
         surf = immersions.catalog(args.surface)
         return immersions.resample_to_grid(surf, n, args.scheme)
     return immersions.perturbed_torus(
         theta=args.theta, eps=args.epsilon, n=n, scheme=args.scheme,
-        seed=args.seed, mode=mode,
+        seed=args.seed, mode="stable" if args.command == "flow" else "generic",
     )
 
 
-def _start(args, rep, failures, mode="generic"):
+def _start(args, rep, failures):
     """The command's start: the flow's FlowState, or verify's and integrals' derived geometry.
 
     A start that cannot be built (exp(J0 M) or its image overflows, the
@@ -122,8 +122,8 @@ def _start(args, rep, failures, mode="generic"):
     report and exits 1; None is returned.
     """
     try:
-        grid = _build_grid(args, mode=mode)
-        if mode == "stable":
+        grid = _build_grid(args)
+        if args.command == "flow":
             return flow.start_flow(grid, tau0=args.tau0)
         return grid_ops.derived_geometry(grid)
     except ValueError as exc:
@@ -333,7 +333,7 @@ def cmd_integrals(args):
 def cmd_flow(args):
     _validate(args)
     refused = Report().set("converged", False)
-    start = _start(args, refused, [], mode="stable")
+    start = _start(args, refused, [])
     result = None if start is None else flow.run_flow(start, max_steps=args.max_steps,
                                                       tol=args.tol)
     rep = refused if result is None else result.report

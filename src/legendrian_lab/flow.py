@@ -197,6 +197,8 @@ def _accept(state: FlowState, surface: LegendrianGraph, div, area):
 
 
 def start_flow(surface: LegendrianGraph, tau0=DEFAULT_TAU0) -> FlowState:
+    if not 0.0 < tau0 < np.inf:
+        raise ValueError(f"tau0 must be positive and finite, got {tau0}")
     if not isinstance(surface, LegendrianGraph):
         raise ValueError(f"the flow runs on a LegendrianGraph, got {type(surface).__name__}")
     state = FlowState(None, None, None, None, tau=tau0, tau0=tau0)
@@ -274,13 +276,12 @@ class FlowResult:
     geometry: grid_ops.DerivedGeometry  # of the final surface, the one run_flow builds
 
 
-def run_flow(start, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
-             tol=DEFAULT_TOL) -> FlowResult:
+def run_flow(start, max_steps=DEFAULT_MAX_STEPS, tol=DEFAULT_TOL) -> FlowResult:
     """Iterate flow_step until ||div JH||_2 <= tol * initial or max_steps.
 
-    start is a LegendrianGraph, or the FlowState start_flow made of one,
-    which already holds its tau0 (the CLI builds it first, so that a start
-    whose angle or metric is refused is reported as its start_error).
+    start is a LegendrianGraph, run at DEFAULT_TAU0, or start_flow's FlowState of
+    one with its own tau0 (the CLI builds it first, so that a start whose
+    angle or metric is refused is reported as its start_error).
     Inputs already stationary at the absolute floor terminate at step 0
     (a purely relative target would chase roundoff).  The final report
     says why the flow stopped (stop_reason, see the module docstring for
@@ -290,9 +291,9 @@ def run_flow(start, tau0=DEFAULT_TAU0, max_steps=DEFAULT_MAX_STEPS,
     DerivedGeometry the run builds, and final_div_JH_operator_dev, the
     largest gap between the flow's -(1/2) Delta_g beta and grid_ops.div_JH.
     """
-    if not (tol > 0 and tau0 > 0):
-        raise ValueError("tol and tau0 must be positive")
-    state = start if isinstance(start, FlowState) else start_flow(start, tau0=tau0)
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    state = start if isinstance(start, FlowState) else start_flow(start)
     initial_div = state.residual_history[0][0]
     target = max(tol * initial_div, DIV_JH_FLOOR)
     stop_reason = None

@@ -6,7 +6,8 @@ axis 0 = u and axis 1 = v.  Fields may carry trailing component axes
 
 Three schemes are supported: second- and fourth-order central
 differences ("fd2", "fd4") and Fourier spectral differentiation
-("spectral", the multiplier (ik)^order on the real-FFT frequencies).
+("spectral", the multiplier (ik)^order on the real-FFT frequencies, where
+an odd order zeroes the Nyquist mode k = n/2 that only an even n has).
 Each operator is defined once, by its stencil or its multiplier, and is
 applied one of two ways.  Up to n = _MATRIX_MAX_N points along the
 differentiated axis, it is one matrix product with the cached (n, n)
@@ -63,8 +64,8 @@ def _shift(f, s, axis):
 def _fourier_multiplier(n, order):
     """(ik)^order on the rfft frequencies 0..n/2 of n points, read-only (cached)."""
     k = np.fft.rfftfreq(n, d=1.0 / n)
-    if order % 2 == 1:
-        k[n // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
+    if order % 2 == 1 and n % 2 == 0:
+        k[n // 2] = 0.0  # the Nyquist mode, of even n only, has no well-defined odd derivative
     return read_only((1j * k) ** order)
 
 

@@ -11,6 +11,9 @@ The catalog provides four closed-form immersions with analytic 2-jets:
 * ``veronese_s4`` -- the quadratic sphere immersion S^2(sqrt3) -> S^4,
   embedded in S^5 through the totally geodesic hyperplane y3 = 0.
 
+The two flat tori are monomial, z_k = r_k e^{i(c_k + a_k u + b_k v)}, and
+share one 2-jet rule.  The catalog is one table by name.
+
 Doubly periodic immersions can be resampled to ``GridSurface`` objects,
 which carry positions plus a differentiation scheme and are the inputs
 to every global operator.
@@ -66,22 +69,23 @@ def _stack6(*comps):
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
 
 
-def _torus_evaluator(theta):
-    r = 1.0 / SQRT3
+def _monomial_torus(r, a, b, c):
+    """z_k = r_k e^{i(c_k + a_k u + b_k v)} in R^6, and d_u^p d_v^q z = z (i a)^p (i b)^q."""
+    r, a, b, c = (np.asarray(x, dtype=float) for x in (r, a, b, c))
+    ia, ib = 1j * a, 1j * b
+    mults = (ia, ib, ia * ia, ia * ib, ib * ib)  # of du, dv, duu, duv, dvv
 
     def ev(u, v):
-        w = theta - u - v
-        cu, su, cv, sv, cw, sw = np.cos(u), np.sin(u), np.cos(v), np.sin(v), np.cos(w), np.sin(w)
-        z = np.zeros_like(u)
-        val = r * _stack6(cu, su, cv, sv, cw, sw)
-        du = r * _stack6(-su, cu, z, z, sw, -cw)
-        dv = r * _stack6(z, z, -sv, cv, sw, -cw)
-        duu = r * _stack6(-cu, -su, z, z, -cw, -sw)
-        duv = r * _stack6(z, z, z, z, -cw, -sw)
-        dvv = r * _stack6(z, z, -cv, -sv, -cw, -sw)
-        return Jet2(val, du, dv, duu, duv, dvv)
+        z = r * np.exp(1j * (c + a * u[..., None] + b * v[..., None]))
+        return Jet2(z.view(float), *((z * m).view(float) for m in mults))
 
     return ev
+
+
+def _legendrian_torus(theta):
+    """(1/sqrt3)(e^{iu}, e^{iv}, e^{i(theta-u-v)}), its phase summed as theta - u - v."""
+    return _monomial_torus(np.full(3, 1.0 / SQRT3), (1.0, 0.0, -1.0), (0.0, 1.0, -1.0),
+                           (0.0, 0.0, theta))
 
 
 def _equatorial_sphere_jet(u, v):
@@ -93,19 +97,6 @@ def _equatorial_sphere_jet(u, v):
     duu = _stack6(-cu * cv, z, -su * cv, z, z, z)
     duv = _stack6(su * sv, z, -cu * sv, z, z, z)
     dvv = _stack6(-cu * cv, z, -su * cv, z, -sv, z)
-    return Jet2(val, du, dv, duu, duv, dvv)
-
-
-def _clifford_jet(u, v):
-    r = 1.0 / np.sqrt(2.0)
-    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-    z = np.zeros_like(u)
-    val = r * _stack6(cu, su, cv, sv, z, z)
-    du = r * _stack6(-su, cu, z, z, z, z)
-    dv = r * _stack6(z, z, -sv, cv, z, z)
-    duu = r * _stack6(-cu, -su, z, z, z, z)
-    duv = np.zeros_like(val)
-    dvv = r * _stack6(z, z, -cv, -sv, z, z)
     return Jet2(val, du, dv, duu, duv, dvv)
 
 
@@ -146,47 +137,28 @@ def _veronese_jet(u, v):
 
 TWO_PI = 2.0 * np.pi
 
-CATALOG_NAMES = (
-    "legendrian_torus",
-    "equatorial_legendrian_sphere",
-    "clifford_s3",
-    "veronese_s4",
-)
+_TORUS_DOMAIN = ((0.0, TWO_PI), (0.0, TWO_PI))
+_CATALOG = {  # name: (evaluator, for legendrian_torus its maker of theta; periodic; domain)
+    "legendrian_torus": (_legendrian_torus, (True, True), _TORUS_DOMAIN),
+    "equatorial_legendrian_sphere": (_equatorial_sphere_jet, (True, False),
+                                     ((0.0, TWO_PI), (-1.3, 1.3))),
+    "clifford_s3": (_monomial_torus(np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0), (1.0, 0.0, 0.0),
+                                    (0.0, 1.0, 0.0), np.zeros(3)), (True, True), _TORUS_DOMAIN),
+    "veronese_s4": (_veronese_jet, (True, False), ((0.0, TWO_PI), (0.3, np.pi - 0.3))),
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name, theta=0.0):
     """Closed-form immersion by name; theta applies to legendrian_torus only."""
     key = name.replace("-", "_")
+    if key not in _CATALOG:
+        raise ValueError(f"unknown catalog surface {name!r}; expected one of {CATALOG_NAMES}")
+    evaluator, periodic, domain = _CATALOG[key]
     if key == "legendrian_torus":
         theta = float(theta) % TWO_PI
-        return Immersion(
-            name=f"legendrian_torus(theta={theta:g})",
-            evaluator=_torus_evaluator(theta),
-            periodic=(True, True),
-            domain=((0.0, TWO_PI), (0.0, TWO_PI)),
-        )
-    if key == "equatorial_legendrian_sphere":
-        return Immersion(
-            name="equatorial_legendrian_sphere",
-            evaluator=_equatorial_sphere_jet,
-            periodic=(True, False),
-            domain=((0.0, TWO_PI), (-1.3, 1.3)),
-        )
-    if key == "clifford_s3":
-        return Immersion(
-            name="clifford_s3",
-            evaluator=_clifford_jet,
-            periodic=(True, True),
-            domain=((0.0, TWO_PI), (0.0, TWO_PI)),
-        )
-    if key == "veronese_s4":
-        return Immersion(
-            name="veronese_s4",
-            evaluator=_veronese_jet,
-            periodic=(True, False),
-            domain=((0.0, TWO_PI), (0.3, np.pi - 0.3)),
-        )
-    raise ValueError(f"unknown catalog surface {name!r}; expected one of {CATALOG_NAMES}")
+        key, evaluator = f"legendrian_torus(theta={theta:g})", evaluator(theta)
+    return Immersion(key, evaluator, periodic, domain)
 
 
 def _in_domain(q, lo, hi):
@@ -261,12 +233,6 @@ class GridSurface:
         )
 
 
-@functools.lru_cache(maxsize=8)
-def _node_phase(n):
-    """e^{iu} at the grid nodes as an (n, 1) column, read-only (cached); e^{iv} is its transpose."""
-    return grids.read_only(np.exp(1j * grids.grid_nodes(n)[0][:, :1]))
-
-
 class LegendrianGraph(GridSurface):
     """The torus arg z3 = h - u - v over the grid (arg z1, arg z2) = (u, v).
 
@@ -292,10 +258,10 @@ class LegendrianGraph(GridSurface):
         if not low > 0.0:
             raise ValueError(f"h is not a Legendrian graph: min(1 - h_u, 1 - h_v) = {low:.3e}")
         rho3 = 1.0 / (3.0 - hu - hv)
-        (uu, vv), eiu = grids.grid_nodes(h.shape[0]), _node_phase(h.shape[0])
+        uu, vv = grids.grid_nodes(h.shape[0])
         z = np.empty(h.shape + (3,), dtype=complex)
-        z[..., 0] = np.sqrt((1.0 - hu) * rho3) * eiu
-        z[..., 1] = np.sqrt((1.0 - hv) * rho3) * eiu.T
+        z[..., 0] = np.sqrt((1.0 - hu) * rho3) * np.exp(1j * uu[:, :1])  # one phase per row
+        z[..., 1] = np.sqrt((1.0 - hv) * rho3) * np.exp(1j * vv[:1])  # and per column
         z[..., 2] = np.sqrt(rho3) * np.exp(1j * (h - uu - vv))
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
@@ -437,7 +403,7 @@ def _hamiltonian_tables():
     """
     basis = tuple(grids.read_only(_pair_quadratic(i, j, kind))
                   for (i, j) in _STABLE_PAIRS + _GENERIC_PAIRS for kind in ("re", "im"))
-    return basis, grids.read_only(_torus_evaluator(0.0)(*grids.grid_nodes(32)).value)
+    return basis, grids.read_only(_legendrian_torus(0.0)(*grids.grid_nodes(32)).value)
 
 
 def random_contact_hamiltonian(eps, seed=0, mode="stable"):
@@ -481,10 +447,10 @@ def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
     exactly, free of atan2 rounding.
     """
     theta = float(theta) % TWO_PI
+    torus = (None if mode == "stable"
+             else resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme))
     if eps == 0.0:
-        if mode == "stable":
-            return LegendrianGraph(np.full((n, n), theta), scheme)
-        return resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
+        return LegendrianGraph(np.full((n, n), theta), scheme) if torus is None else torus
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         m = random_contact_hamiltonian(eps, seed=seed, mode=mode)
         e = expm(contact.j_apply(m.T).T)  # exp(J0 M), J0 applied column by column
@@ -496,8 +462,7 @@ def perturbed_torus(theta=0.0, eps=0.02, n=32, scheme="fd4", seed=0,
         phase = (uu + vv - theta + _arg_of_image(a3, theta - _arg_of_image(np.linalg.inv(a1), uu)
                                                  - _arg_of_image(np.linalg.inv(a2), vv)))
         return LegendrianGraph(theta + phase - TWO_PI * np.round(phase / TWO_PI), scheme)
-    base = resample_to_grid(catalog("legendrian_torus", theta=theta), n, scheme)
-    image = base.positions @ e.T
+    image = torus.positions @ e.T
     # normalize's |E q|^2 is checked here, not in normalize, which every flow trial calls
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(contact.dot(image, image))):

@@ -340,7 +340,8 @@ def test_run_flow_takes_one_el_residual_on_the_final_surface(monkeypatch, tmp_pa
     monkeypatch.setattr(flow, "area_of_positions", counted_area)
     # tau0 = 2 (twice the preconditioned step) makes the line search halve; at the default
     # it never does here
-    result = flow.run_flow(_stable_start(n=16), tau0=2.0, max_steps=5000, tol=1e-4)
+    result = flow.run_flow(flow.start_flow(_stable_start(n=16), tau0=2.0), max_steps=5000,
+                           tol=1e-4)
     state, rep = result.state, result.report
     assert rep["stop_reason"] == "under-resolved" and rep["steps"] > 0
     assert len(calls) == 1 and calls[0] is result.geometry
@@ -428,8 +429,14 @@ def _assert_reports_last_accepted_surface(result, tmp_path):
     assert rep["final_S_max_dev"] == float(np.max(np.abs(fresh.data.S - 2.0)))
 
 
+@pytest.mark.parametrize("tau0", [np.nan, -1.0, 0.0, np.inf])
+def test_start_flow_refuses_a_tau0_that_is_not_positive_and_finite(tau0):
+    with pytest.raises(ValueError, match="tau0 must be positive and finite"):
+        flow.start_flow(_stable_start(n=16), tau0=tau0)
+
+
 def test_stop_reason_stalled_when_every_trial_underflows():
-    rep = flow.run_flow(_stable_start(n=16), tau0=1e-13).report
+    rep = flow.run_flow(flow.start_flow(_stable_start(n=16), tau0=1e-13)).report
     assert rep["stalled"] and not rep["converged"]
     assert rep["stop_reason"] == "stalled" and rep["steps"] == 0
 

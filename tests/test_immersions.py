@@ -103,6 +103,12 @@ def test_jet_consistency_at_h_1e4(name):
     assert res < 1e-6
 
 
+def test_torus_jet_consistency_off_theta_zero():
+    """The monomial 2-jet carries theta in the third phase only."""
+    surf = immersions.catalog("legendrian_torus", theta=2.5)
+    assert jet_consistency_check(surf, 0.9, 1.1, h=1e-4) < 1e-6
+
+
 def test_jet_consistency_second_order_in_h():
     surf = immersions.catalog("legendrian_torus")
     r1 = jet_consistency_check(surf, 0.7, 0.3, h=1e-3)

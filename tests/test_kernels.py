@@ -325,7 +325,7 @@ def test_connection_laplacians_match_their_double_loops(case, geometry_cache, fl
 
 def test_cached_fourier_multipliers_are_read_only():
     """The per-N tables of the flow and the grids are built once and cannot be written."""
-    for table in (flow.torus_jacobi_multiplier, flow._aliased_band, immersions._node_phase,
+    for table in (flow.torus_jacobi_multiplier, flow._aliased_band,
                   lambda n: grids.grid_nodes(n)[0], lambda n: grids.grid_nodes(n)[1]):
         mult = table(16)
         assert mult is table(16)
@@ -394,6 +394,16 @@ def test_matrix_derivative_matches_the_direct_path(scheme, n):
                 direct = grids._direct_deriv(f, axis, scheme, order)
                 err = np.max(np.abs(grids._matrix_deriv(f, axis, scheme, order) - direct))
                 assert err <= 8 * np.spacing(np.max(np.abs(direct))), (components, order, axis)
+
+
+def test_odd_length_spectral_first_derivative_keeps_its_highest_mode():
+    """At odd n the top rfft frequency (n - 1) / 2 is a Fourier mode, not the Nyquist mode."""
+    n = 15
+    u = grids.LENGTH * np.arange(n) / n
+    f = np.sin(7 * u)[:, None] * np.ones((1, 3))
+    for path in (grids._direct_deriv, grids._matrix_deriv):
+        err = np.max(np.abs(path(f, 0, "spectral", 1) - 7 * np.cos(7 * u)[:, None]))
+        assert err <= 1e-12, path.__name__
 
 
 @pytest.mark.parametrize("n", [4, 15, 16, 64, grids._MATRIX_MAX_N])

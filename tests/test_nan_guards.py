@@ -92,4 +92,7 @@ def test_first_variation_check_rejects_nan_eps(geometry_cache):
 def test_run_flow_rejects_nan_tol_and_tau0(kwargs, geometry_cache):
     surface = geometry_cache("torus", 16, "spectral").surface
     with pytest.raises(ValueError, match="must be positive"):
-        flow.run_flow(surface, **kwargs)
+        if "tau0" in kwargs:  # start_flow's, as a FlowState holds its own tau0
+            flow.start_flow(surface, **kwargs)
+        else:
+            flow.run_flow(surface, **kwargs)

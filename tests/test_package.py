@@ -81,8 +81,7 @@ def _reach_ops():
     """Every command x surface x scheme, then the paths the defaults do not take."""
     ops = [[command, "--surface", surface, "--scheme", scheme, "--grid", "16"]
            for command in ("verify", "integrals", "flow")
-           for surface in ("legendrian-torus", "equatorial-legendrian-sphere", "clifford-s3",
-                           "veronese-s4")
+           for surface in cli.SURFACES
            for scheme in ("spectral", "fd4", "fd2")]
     eps = ["--epsilon", "0.02"]
     return ops + [

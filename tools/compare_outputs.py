@@ -58,7 +58,9 @@ OUTPUTS = ("report.json", "report.txt", "flow.csv")
 # 0-31, against the fd2 gate of 1.8); and two fd2 flows whose seed-0 start is
 # a graph that start_flow refuses, its Lagrangian angle off its branch
 # (epsilon 2, N = 32) or its det g degenerate (epsilon 5, N = 16): each
-# exits 1 with start_error in its report and no flow.csv
+# exits 1 with start_error in its report and no flow.csv; and a torus
+# verify at theta 2.5, the one op whose pointwise suite evaluates the
+# torus 2-jet at theta != 0
 EXTRA_OPS = (
     ("flow", ("--epsilon", "0.02", "--tol", "1e-4", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "0.02", "--grid", "16", "--scheme", "fd4")),
@@ -79,6 +81,7 @@ EXTRA_OPS = (
     ("verify", ("--epsilon", "0.02", "--grid", "64", "--scheme", "fd2")),
     ("flow", ("--epsilon", "2", "--grid", "32", "--scheme", "fd2")),
     ("flow", ("--epsilon", "5", "--grid", "16", "--scheme", "fd2")),
+    ("verify", ("--theta", "2.5", "--grid", "16")),
 )
 CHILD = CHILD_IMPORT + """
 from legendrian_lab.cli import main
